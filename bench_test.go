@@ -333,7 +333,7 @@ func BenchmarkDistributedLoopback(b *testing.B) {
 		b.StopTimer()
 		c := c0.Clone()
 		b.StartTimer()
-		if err := m.RunPipelined(inst.T, plan, a, bm, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, bm, c, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -831,7 +831,7 @@ func BenchmarkAdaptiveRebalance(b *testing.B) {
 			},
 		}
 		b.StartTimer()
-		if err := engine.ExecuteElasticContext(context.Background(), inst.T, plan, a, bm, c, be, el); err != nil {
+		if err := engine.Dispatch(context.Background(), inst.T, plan, a, bm, c, be, engine.Options{Elastic: el}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -898,16 +898,15 @@ func BenchmarkStragglerTail(b *testing.B) {
 		defer m.Close()
 		c := c0.Clone()
 		start := time.Now()
+		var opts engine.Options
 		if redundant {
 			red := &engine.Redundancy{Mode: "replicated"}
 			for ji, j := range jobs {
 				red.Units = append(red.Units, engine.RedundantUnit{Worker: (j.Worker + 1) % pl.P(), Job: ji})
 			}
-			err = m.RunRedundantContext(context.Background(), inst.T, plan, a, bm, c, red)
-		} else {
-			err = m.RunPipelined(inst.T, plan, a, bm, c)
+			opts.Redundancy = red
 		}
-		if err != nil {
+		if err = m.Execute(context.Background(), inst.T, plan, a, bm, c, opts); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)

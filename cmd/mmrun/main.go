@@ -5,7 +5,7 @@
 // algorithm, executes the plan for real, and the result is verified against
 // a reference multiplication.
 //
-// By default the plan runs on the pipelined executor: one dispatch goroutine
+// By default the plan runs on the concurrent core: one dispatch goroutine
 // per worker, so transfers to distinct workers and every worker's compute
 // overlap. -pipelined=false falls back to the strictly sequential op loop;
 // the computed C is bitwise-identical either way. With -pace (in-process
@@ -70,7 +70,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "random seed for matrix data")
 	flag.DurationVar(&o.pace, "pace", 0, "per (block × unit link cost) transfer pacing, e.g. 50us")
 	flag.StringVar(&o.distributed, "distributed", "", "comma-separated mmworker addresses; drive remote workers over TCP instead of in-process goroutines")
-	flag.BoolVar(&o.pipelined, "pipelined", true, "use the concurrent per-worker executor (false: strictly sequential op loop)")
+	flag.BoolVar(&o.pipelined, "pipelined", true, "use the concurrent dispatch core (false: strictly sequential op loop)")
 	flag.BoolVar(&o.onePort, "oneport", false, "serialize transfer slots across workers (one-port master); meaningful with -pace or -distributed under -pipelined")
 	flag.IntVar(&o.procs, "procs", 0, "goroutines per in-process worker's block updates (≤1: sequential); remote workers set their own via mmworker -procs")
 	flag.StringVar(&o.redundancy, "redundancy", "", "proactive straggler mitigation: off, replicated[:r] or coded[:r] — r redundant units per wave raced through the k-of-n gate")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"math/rand"
 	stdnet "net"
 	"testing"
@@ -50,7 +51,7 @@ func TestServeOneSession(t *testing.T) {
 	if names := m.WorkerNames(); len(names) != 1 || names[0] != "test-worker" {
 		t.Errorf("registered names = %v", names)
 	}
-	if err := m.Run(inst.T, res.Plan(), a, b, c); err != nil {
+	if err := m.RunContext(context.Background(), inst.T, res.Plan(), a, b, c); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Shutdown(); err != nil {

@@ -78,20 +78,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Distributed execution over TCP: once with the sequential executor,
-	// once with the pipelined per-worker dispatcher, on the same sessions.
+	// Distributed execution over TCP: once through the sequential oracle,
+	// once through the concurrent core, on the same sessions.
+	ctx := context.Background()
 	m, err := mmnet.Dial(addrs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("master connected to %v\n", m.WorkerNames())
 	start := time.Now()
-	if err := m.Run(inst.T, res.Plan(), a, b, cNet); err != nil {
+	if err := m.RunContext(ctx, inst.T, res.Plan(), a, b, cNet); err != nil {
 		log.Fatal(err)
 	}
 	seqElapsed := time.Since(start)
 	start = time.Now()
-	if err := m.RunPipelined(inst.T, res.Plan(), a, b, cPipe); err != nil {
+	if err := m.Execute(ctx, inst.T, res.Plan(), a, b, cPipe, engine.Options{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("distributed runs finished: sequential %v, pipelined %v\n", seqElapsed, time.Since(start))

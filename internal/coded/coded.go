@@ -99,7 +99,7 @@ func (o *Options) groupSize() int {
 	return o.GroupSize
 }
 
-// jobCost prices one chunk job on worker w with the elastic executor's cost
+// jobCost prices one chunk job on worker w with the elastic policy's cost
 // primitives (blocks moved over the job's life, block updates performed).
 // A nil estimator degrades to a uniform-speed model, which still orders jobs
 // by size and workers by load.
@@ -121,8 +121,8 @@ func jobCost(est adapt.Estimator, w int, j sim.PlanJob) float64 {
 // a and c are the live matrices — parity payloads are pre-encoded here, at
 // plan time, from the initial C (group members may commit, mutating C, before
 // a parity unit even dispatches). workers is the backend's worker count.
-// ModeOff (or an empty plan) returns nil: callers pass the nil straight to
-// the engine, which degenerates to the plain pipelined executor.
+// ModeOff returns nil: callers pass the nil straight to the engine
+// (Options.Redundancy), which then runs a plain single-copy dispatch.
 func Plan(t int, plan []sim.PlanOp, a, c *matrix.BlockMatrix, workers int, opts Options) (*engine.Redundancy, error) {
 	if opts.Mode == ModeOff || opts.Mode == "" {
 		return nil, nil

@@ -362,7 +362,8 @@ func TestPlannedRedundancyHealthyBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if err := engine.RunRedundantContext(context.Background(), cfg, plan, a, b, c, red); err != nil {
+		cfg.Options.Redundancy = red
+		if err := engine.RunContext(context.Background(), cfg, plan, a, b, c); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		d := c.MaxAbsDiff(base)
@@ -426,7 +427,7 @@ func TestCodedDecodeRecoversStalledJob(t *testing.T) {
 	}
 	be := newCSBackend(testbed().P(), func(w int, ch matrix.Chunk) bool { return ch == victim })
 	start := time.Now()
-	if err := engine.ExecuteRedundantContext(context.Background(), inst.T, plan, a, b, c, be, red); err != nil {
+	if err := engine.Dispatch(context.Background(), inst.T, plan, a, b, c, be, engine.Options{Redundancy: red}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {

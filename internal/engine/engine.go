@@ -3,21 +3,30 @@
 // updates, and the master replays the exact operation order a scheduler
 // produced (the Plan recorded by internal/sim).
 //
-// The package splits into two layers. The backend-agnostic plan executors —
-// validation, operation ordering, C-accumulation, and failover of dead
-// workers' jobs — are shared by every real runtime: Execute issues ops
-// strictly in plan order from one goroutine, while ExecutePipelined drives
-// each worker from a dedicated dispatch goroutine so transfers to distinct
-// workers and all computes overlap (bitwise-identical C either way). Run
-// wires either executor, chosen by Config.Pipelined, to the in-process
+// The package splits into two layers. The backend-agnostic plan execution —
+// validation, per-chunk operation ordering, C-accumulation, and failover of
+// dead workers' jobs — is shared by every real runtime and comes as exactly
+// two loops. ExecuteContext is the sequential oracle: it issues ops strictly
+// in plan order from one goroutine, the one-port replay of the paper, and
+// every bitwise-C test compares against it. Dispatch is the concurrent core:
+// one dispatch goroutine per worker pulls units off per-worker queues, so
+// transfers to distinct workers and all computes overlap, and the paper's
+// remaining degree of freedom — which worker gets which chunk when — is
+// three policy hooks on that one loop, passed as data (Options): reassign
+// (round-robin over survivors, or adapt.Balance on live estimates, also on
+// join and drift), idle (park, or claim a speculative copy), and commit
+// (direct lock-free write of a disjoint chunk, or the first-result-wins
+// k-of-n gate). C is bitwise-identical across both loops and every policy.
+//
+// Run wires either loop, chosen by Config.Pipelined, to the in-process
 // backend: workers are goroutines behind channels, and each worker's input
 // channel provides one buffered slot so communication to a worker overlaps
 // that worker's computation, exactly the double-buffering of the μ²+4μ
 // layout. Optionally each transfer is paced at the platform's c_i per block
-// so heterogeneous links are felt in wall-clock time; under the pipelined
-// executor, Config.OnePort serializes those paced slots through a
-// TransferGate, recovering the paper's one-port master. internal/net wires
-// the same executors to remote workers over TCP.
+// so heterogeneous links are felt in wall-clock time; under the concurrent
+// core, Config.OnePort serializes those paced slots through a TransferGate,
+// recovering the paper's one-port master. internal/net wires the same two
+// loops to remote workers over TCP.
 //
 // Its purpose is verification: after Run, C must equal the reference product,
 // proving the scheduler moved every block where it claimed and no update was
@@ -44,10 +53,16 @@ type Config struct {
 	// TimePerUnit zero for full-speed verification runs.
 	Platform    *platform.Platform
 	TimePerUnit time.Duration
-	// Pipelined selects the concurrent executor: each worker's jobs are
-	// dispatched by a dedicated goroutine, so transfers to distinct workers
-	// and all computes overlap. C is bitwise-identical either way.
+	// Pipelined selects the concurrent core (Dispatch): each worker's jobs
+	// are dispatched by a dedicated goroutine, so transfers to distinct
+	// workers and all computes overlap. C is bitwise-identical either way.
 	Pipelined bool
+	// Options are the concurrent core's policies, so they need Pipelined.
+	// In-process goroutine workers neither crash, join nor straggle, so here
+	// Elastic means estimate tracking plus drift-triggered rebalancing, and
+	// Redundancy mainly keeps the k-of-n gate testable against the oracle
+	// backend.
+	Options Options
 	// OnePort, with Pipelined and pacing, serializes the paced transfer
 	// slots across workers through a TransferGate, restoring the paper's
 	// one-port master: overlap of transfer and compute, but never of two
@@ -78,8 +93,8 @@ type workerMsg struct {
 	flush   bool // return the current chunk
 }
 
-// TransferGate serializes the transfer slots of a one-port master: pipelined
-// dispatch goroutines hold it only while a (paced) transfer occupies the
+// TransferGate serializes the transfer slots of a one-port master: the
+// core's dispatch goroutines hold it only while a (paced) transfer occupies the
 // link, never while waiting on a worker's compute. A nil gate is an
 // unconstrained (multi-port) master.
 type TransferGate struct{ mu sync.Mutex }
@@ -99,8 +114,8 @@ func (g *TransferGate) Unlock() {
 }
 
 // chanBackend is the in-process Backend: one goroutine per worker, channels
-// as links. Its sends only fail when the run's context is cancelled, so
-// Execute's failover path is inert here.
+// as links. Its sends only fail when the run's context is cancelled, so the
+// failover paths are inert here.
 type chanBackend struct {
 	cfg  Config
 	ctx  context.Context // the run's context; aborts paced transfers and waits
@@ -205,45 +220,14 @@ func Run(cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
 // worker goroutines, and returns an error wrapping ctx's error. A run that
 // is aborted leaves C partially updated; the input matrices are untouched.
 func RunContext(ctx context.Context, cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	return runOnChanBackend(ctx, cfg, func(cb *chanBackend) error {
-		if cfg.Pipelined {
-			return ExecutePipelinedContext(ctx, cfg.T, plan, a, b, c, cb)
-		}
-		return ExecuteContext(ctx, cfg.T, plan, a, b, c, cb)
-	})
-}
-
-// RunElasticContext is RunContext through the adaptive executor: the same
-// in-process goroutine workers, but dispatch re-plans un-started chunks onto
-// the live throughput estimates (see ExecuteElasticContext). The in-process
-// fleet is fixed for the run — goroutine workers neither crash nor join — so
-// elasticity here means estimate tracking and drift-triggered rebalancing;
-// join and departure handling are exercised by the networked runtimes.
-func RunElasticContext(ctx context.Context, cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, el *Elastic) error {
-	return runOnChanBackend(ctx, cfg, func(cb *chanBackend) error {
-		return ExecuteElasticContext(ctx, cfg.T, plan, a, b, c, cb, el)
-	})
-}
-
-// RunRedundantContext is RunContext under the k-of-n completion gate: the
-// plan's jobs plus red's replicas/parity units race, first result per job
-// wins. In-process goroutine workers never straggle, so this mainly exists to
-// keep the redundant path testable against the oracle backend; red == nil
-// degenerates to the pipelined executor.
-func RunRedundantContext(ctx context.Context, cfg Config, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, red *Redundancy) error {
-	return runOnChanBackend(ctx, cfg, func(cb *chanBackend) error {
-		return ExecuteRedundantContext(ctx, cfg.T, plan, a, b, c, cb, red)
-	})
-}
-
-// runOnChanBackend validates cfg, brings up the in-process goroutine
-// workers, runs exec against them, and drains the workers' error reports.
-func runOnChanBackend(ctx context.Context, cfg Config, exec func(*chanBackend) error) error {
 	if cfg.Workers <= 0 {
 		return fmt.Errorf("engine: need a positive worker count")
 	}
 	if cfg.Platform != nil && cfg.Platform.P() < cfg.Workers {
 		return fmt.Errorf("engine: plan references %d workers but platform has %d", cfg.Workers, cfg.Platform.P())
+	}
+	if !cfg.Pipelined && cfg.Options != (Options{}) {
+		return fmt.Errorf("engine: Config.Options are policies of the concurrent core; set Pipelined")
 	}
 
 	cb := &chanBackend{
@@ -267,7 +251,12 @@ func runOnChanBackend(ctx context.Context, cfg Config, exec func(*chanBackend) e
 		go worker(cb.in[w], cb.out[w], errs, cfg.Procs)
 	}
 
-	runErr := exec(cb)
+	var runErr error
+	if cfg.Pipelined {
+		runErr = Dispatch(ctx, cfg.T, plan, a, b, c, cb, cfg.Options)
+	} else {
+		runErr = ExecuteContext(ctx, cfg.T, plan, a, b, c, cb)
+	}
 
 	for w := 0; w < cfg.Workers; w++ {
 		close(cb.in[w])

@@ -14,11 +14,11 @@ import (
 
 // Backend abstracts where a plan's workers actually live: goroutines behind
 // channels (this package's Run) or remote processes behind TCP connections
-// (internal/net). Execute drives any Backend with identical buffer
-// accounting, operation ordering, and C-accumulation, so the in-process and
-// networked runtimes cannot drift apart.
+// (internal/net). Both plan-execution loops drive any Backend with identical
+// buffer accounting, per-chunk operation ordering, and C-accumulation, so the
+// in-process and networked runtimes cannot drift apart.
 //
-// Reusable-backend contract: a successful Execute/ExecutePipelined leaves
+// Reusable-backend contract: a successful ExecuteContext or Dispatch leaves
 // every worker idle (each SendC is balanced by a RecvC, so no worker holds a
 // chunk afterwards), and the executors keep no state of their own between
 // calls. A Backend whose workers outlive a plan — internal/net's Master over
@@ -54,7 +54,7 @@ type CopyingBackend interface {
 }
 
 // ErrWorkerDown marks a backend operation that failed because the worker is
-// gone (connection lost, heartbeat timeout). Execute reacts by re-queueing
+// gone (connection lost, heartbeat timeout). Both loops react by re-queueing
 // the worker's outstanding jobs onto survivors; any other backend error
 // aborts the run.
 var ErrWorkerDown = errors.New("worker down")
@@ -244,8 +244,8 @@ func ExecuteContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matr
 }
 
 // validatePlan performs the shape, protocol, worker-range, chunk-geometry,
-// and panel-range checks shared by both executors, returning the plan's jobs
-// and the op→job mapping.
+// and panel-range checks shared by both loops, returning the plan's jobs and
+// the op→job mapping.
 func validatePlan(t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, be Backend) (jobs []sim.PlanJob, opJob []int, err error) {
 	if a.Rows != c.Rows || b.Cols != c.Cols || a.Cols != b.Rows || a.Cols != t {
 		return nil, nil, fmt.Errorf("engine: shape mismatch A %dx%d, B %dx%d, C %dx%d, t=%d",
@@ -274,8 +274,7 @@ func validatePlan(t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, be Back
 
 // runJob runs one complete job synchronously on worker w: chunk delivery,
 // every installment in order, retrieval, and the write-back into C. It is
-// the replay unit of both executors' failover and the per-job dispatch unit
-// of the pipelined executor.
+// the replay unit of the sequential loop's failover.
 func runJob(be Backend, w int, j sim.PlanJob, a, b, c *matrix.BlockMatrix, st *stager) error {
 	mChunks.Inc()
 	blocks := st.stageChunk(c, j.Chunk)
@@ -341,16 +340,17 @@ func cloneChunk(c *matrix.BlockMatrix, ch matrix.Chunk, pool *matrix.BlockPool, 
 // gatherPanels collects the A panels (ch.H×d, row-major) and B panels
 // (d×ch.W, row-major) of installment [k0, k1) for chunk ch, appending to
 // amDst and bmDst (pass nil for fresh slices). The returned entries alias
-// the input matrices' blocks; only the slice headers are staged.
+// the input matrices' blocks; only the slice headers are staged. A nil a
+// skips the A side (parity units bring their own pre-encoded A panels).
 func gatherPanels(a, b *matrix.BlockMatrix, ch matrix.Chunk, k0, k1 int, amDst, bmDst []*matrix.Block) (am, bm []*matrix.Block) {
 	d := k1 - k0
-	if amDst == nil {
+	if amDst == nil && a != nil {
 		amDst = make([]*matrix.Block, 0, ch.H*d)
 	}
 	if bmDst == nil {
 		bmDst = make([]*matrix.Block, 0, d*ch.W)
 	}
-	for i := ch.Row0; i < ch.Row0+ch.H; i++ {
+	for i := ch.Row0; a != nil && i < ch.Row0+ch.H; i++ {
 		for k := k0; k < k1; k++ {
 			amDst = append(amDst, a.Block(i, k))
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -62,10 +63,9 @@ func TestPipelinedMatchesSequentialBitwise(t *testing.T) {
 }
 
 // TestPipelinedFailsOverDeadWorker kills each worker in turn at several
-// points and checks the parallel replay waves still complete a correct
-// product. The faulty backend needs no extra locking: the executor
-// serializes all operations on one worker within one goroutine, and wave
-// boundaries give happens-before edges between waves.
+// points and checks the concurrent replay still completes a correct
+// product. The faulty backend needs no extra locking: the core drives each
+// worker from exactly one goroutine, and only the victim's state is counted.
 func TestPipelinedFailsOverDeadWorker(t *testing.T) {
 	inst := sched.Instance{R: 6, S: 9, T: 4}
 	pl := smallPlatform()
@@ -79,31 +79,13 @@ func TestPipelinedFailsOverDeadWorker(t *testing.T) {
 		for _, deathAt := range []int{0, 1, 3, 7} {
 			a, b, c, want := buildMatrices(t, inst, q, 11)
 			be := newFaultyBackend(pl.P(), victim, deathAt)
-			if err := ExecutePipelined(inst.T, plan, a, b, c, be); err != nil {
+			if err := Dispatch(context.Background(), inst.T, plan, a, b, c, be, Options{}); err != nil {
 				t.Fatalf("victim %d death-at %d: %v", victim, deathAt, err)
 			}
 			if d := c.MaxAbsDiff(want); d > 1e-9 {
 				t.Errorf("victim %d death-at %d: C wrong by %g", victim, deathAt, d)
 			}
 		}
-	}
-}
-
-// TestPipelinedAllWorkersDead checks the concurrent executor reports failure
-// rather than silently dropping chunks when no survivor remains.
-func TestPipelinedAllWorkersDead(t *testing.T) {
-	inst := sched.Instance{R: 2, S: 2, T: 2}
-	res, err := sched.Hom{}.Schedule(smallPlatform(), inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := 2
-	a := matrix.NewBlockMatrix(inst.R, inst.T, q)
-	b := matrix.NewBlockMatrix(inst.T, inst.S, q)
-	c := matrix.NewBlockMatrix(inst.R, inst.S, q)
-	be := &allDead{nw: smallPlatform().P()}
-	if err := ExecutePipelined(inst.T, res.Plan(), a, b, c, be); err == nil {
-		t.Fatal("pipelined executor claimed success with every worker dead")
 	}
 }
 
@@ -125,7 +107,7 @@ func TestPipelinedRejectsOverlappingChunks(t *testing.T) {
 		{Worker: 1, Kind: trace.RecvC, Chunk: ch},
 	}
 	be := newFaultyBackend(2, 0, 1<<30)
-	if err := ExecutePipelined(2, plan, a, b, c, be); err == nil {
+	if err := Dispatch(context.Background(), 2, plan, a, b, c, be, Options{}); err == nil {
 		t.Fatal("overlapping chunks accepted by the pipelined executor")
 	}
 }

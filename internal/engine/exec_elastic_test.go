@@ -16,8 +16,8 @@ import (
 	"repro/internal/trace"
 )
 
-// elasticMock is a growable, thread-safe in-memory Backend for elastic
-// executor tests: workers compute with the real kernel, chosen workers die
+// elasticMock is a growable, thread-safe in-memory Backend for the elastic
+// policy's tests: workers compute with the real kernel, chosen workers die
 // after a scripted number of operations, and RecvC can be gated on a channel
 // so tests control exactly when jobs complete relative to membership events.
 type elasticMock struct {
@@ -225,25 +225,6 @@ func testTracker(n int) *adapt.Tracker {
 	return adapt.NewTracker(elasticPlatform(n).Workers, time.Microsecond, 0)
 }
 
-// TestElasticMatchesSequentialBitwise: with no membership events and no
-// drift, the adaptive executor is just the pipelined executor — C must be
-// bitwise-identical to the strictly sequential run, for a scheduler-built
-// plan too.
-func TestElasticMatchesSequentialBitwise(t *testing.T) {
-	pl := elasticPlatform(3)
-	inst := sched.Instance{R: 6, S: 9, T: 4}
-	res, err := sched.Het{}.Schedule(pl, inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := newElasticFixture(t, res.Plan(), 3, inst.R, inst.S, inst.T, 3)
-	el := &Elastic{Tracker: testTracker(3), DriftThreshold: -1}
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, newElasticMock(3), el); err != nil {
-		t.Fatal(err)
-	}
-	f.assertBitwise()
-}
-
 // TestElasticJoinWhileQueueEmpty: every worker has exactly one job, all of
 // them dispatched and wedged in RecvC — the queues are empty. A worker that
 // joins now must trigger a re-plan that finds zero pending jobs, get no
@@ -283,7 +264,7 @@ func TestElasticJoinWhileQueueEmpty(t *testing.T) {
 		<-joined
 		close(be.recvGate)
 	}()
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
+	if err := Dispatch(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, Options{Elastic: el}); err != nil {
 		t.Fatal(err)
 	}
 	f.assertBitwise()
@@ -343,7 +324,7 @@ func TestElasticJoinMidReplay(t *testing.T) {
 		<-joined
 		close(be.recvGate)
 	}()
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
+	if err := Dispatch(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, Options{Elastic: el}); err != nil {
 		t.Fatal(err)
 	}
 	f.assertBitwise()
@@ -388,7 +369,7 @@ func TestElasticTwoDepartures(t *testing.T) {
 				}
 			},
 		}
-		if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
+		if err := Dispatch(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, Options{Elastic: el}); err != nil {
 			t.Fatalf("death-at %d: %v", deathAt, err)
 		}
 		f.assertBitwise()
@@ -400,20 +381,6 @@ func TestElasticTwoDepartures(t *testing.T) {
 		if be.jobs(1)+be.jobs(2) > 2*deathAt {
 			t.Fatalf("death-at %d: dead workers completed more jobs than their op budget allows", deathAt)
 		}
-	}
-}
-
-// TestElasticAllWorkersDead: with every worker scripted to die, the executor
-// must report failure — not hang, not drop chunks silently.
-func TestElasticAllWorkersDead(t *testing.T) {
-	const nw = 3
-	plan := rowPlan(nw, 1, 4, 3)
-	f := newElasticFixture(t, plan, nw, nw, 4, 3, 3)
-	be := newElasticMock(nw)
-	be.deadAfter[0], be.deadAfter[1], be.deadAfter[2] = 0, 0, 0
-	el := &Elastic{Tracker: testTracker(nw), DriftThreshold: -1}
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err == nil {
-		t.Fatal("executor claimed success with every worker dead")
 	}
 }
 
@@ -462,7 +429,7 @@ func TestElasticDriftReplansExactlyOnce(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	if err := ExecuteElasticContext(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, el); err != nil {
+	if err := Dispatch(context.Background(), f.tdim, f.plan, f.a, f.b, f.c, be, Options{Elastic: el}); err != nil {
 		t.Fatal(err)
 	}
 	f.assertBitwise()
@@ -473,35 +440,9 @@ func TestElasticDriftReplansExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestElasticCancel: cancelling the context aborts an elastic run promptly
-// with a non-nil error even while the whole fleet is wedged mid-job.
-func TestElasticCancel(t *testing.T) {
-	const nw = 3
-	plan := rowPlan(nw, 2, 4, 3)
-	f := newElasticFixture(t, plan, nw, nw*2, 4, 3, 3)
-	be := newElasticMock(nw)
-	be.recvGate = make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		el := &Elastic{Tracker: testTracker(nw), DriftThreshold: -1}
-		errc <- ExecuteElasticContext(ctx, f.tdim, f.plan, f.a, f.b, f.c, be, el)
-	}()
-	cancel()
-	close(be.recvGate) // wake the wedged RecvCs; the abort must win
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("cancelled elastic run reported success")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled elastic run did not return")
-	}
-}
-
-// TestRunElasticContext drives the adaptive executor over the real
-// in-process goroutine backend end to end and checks observations landed.
-func TestRunElasticContext(t *testing.T) {
+// TestRunElasticInProcess drives the elastic policy over the real in-process
+// goroutine backend end to end and checks observations landed.
+func TestRunElasticInProcess(t *testing.T) {
 	pl := elasticPlatform(3)
 	inst := sched.Instance{R: 6, S: 9, T: 4}
 	res, err := sched.Het{}.Schedule(pl, inst)
@@ -523,7 +464,8 @@ func TestRunElasticContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := adapt.NewTracker(pl.Workers, time.Microsecond, 0)
-	if err := RunElasticContext(context.Background(), cfg, plan, a, b, c, &Elastic{Tracker: tr}); err != nil {
+	cfg.Pipelined, cfg.Options = true, Options{Elastic: &Elastic{Tracker: tr}}
+	if err := RunContext(context.Background(), cfg, plan, a, b, c); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Equal(want, 0) {

@@ -113,20 +113,6 @@ func planAndMatrices(t *testing.T, s sched.Scheduler, inst sched.Instance, q int
 	return plan, a, b, c, base
 }
 
-// TestRedundantNilRedMatchesPlainBitwise: a nil Redundancy must be exactly
-// today's pipelined executor, byte for byte.
-func TestRedundantNilRedMatchesPlainBitwise(t *testing.T) {
-	inst := sched.Instance{R: 6, S: 9, T: 4}
-	plan, a, b, c, base := planAndMatrices(t, sched.Het{}, inst, 3, 11)
-	cfg := Config{Workers: smallPlatform().P(), T: inst.T, Pipelined: true}
-	if err := RunRedundantContext(context.Background(), cfg, plan, a, b, c, nil); err != nil {
-		t.Fatal(err)
-	}
-	if d := c.MaxAbsDiff(base); d != 0 {
-		t.Fatalf("nil-red C differs from plain pipelined C by %g (want bitwise equal)", d)
-	}
-}
-
 // TestRedundantEmptyUnitsMatchesPlainBitwise: the gate with no planned units
 // (speculation armed but never needed on a healthy run) commits only
 // systematic results, so C stays bitwise-identical.
@@ -134,8 +120,8 @@ func TestRedundantEmptyUnitsMatchesPlainBitwise(t *testing.T) {
 	inst := sched.Instance{R: 6, S: 9, T: 4}
 	plan, a, b, c, base := planAndMatrices(t, sched.Het{}, inst, 3, 12)
 	cfg := Config{Workers: smallPlatform().P(), T: inst.T, Pipelined: true}
-	red := &Redundancy{Mode: "replicated"}
-	if err := RunRedundantContext(context.Background(), cfg, plan, a, b, c, red); err != nil {
+	cfg.Options.Redundancy = &Redundancy{Mode: "replicated"}
+	if err := RunContext(context.Background(), cfg, plan, a, b, c); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.MaxAbsDiff(base); d != 0 {
@@ -162,8 +148,8 @@ func TestRedundantReplicasBitwiseAndArbitrated(t *testing.T) {
 		for ji, j := range jobs {
 			red.Units = append(red.Units, RedundantUnit{Worker: (j.Worker + 1) % nw, Job: ji})
 		}
-		cfg := Config{Workers: nw, T: inst.T, Pipelined: true}
-		if err := RunRedundantContext(context.Background(), cfg, plan, a, b, c, red); err != nil {
+		cfg := Config{Workers: nw, T: inst.T, Pipelined: true, Options: Options{Redundancy: red}}
+		if err := RunContext(context.Background(), cfg, plan, a, b, c); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		if d := c.MaxAbsDiff(base); d != 0 {
@@ -210,7 +196,7 @@ func TestRedundantAbsorbsStalledUnit(t *testing.T) {
 		return false
 	})
 	start := time.Now()
-	if err := ExecuteRedundantContext(context.Background(), inst.T, plan, a, b, c, be, red); err != nil {
+	if err := Dispatch(context.Background(), inst.T, plan, a, b, c, be, Options{Redundancy: red}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -242,8 +228,8 @@ func TestRedundantValidationRejectsBadUnits(t *testing.T) {
 		"job out of range":    {{Worker: 0, Job: 9999}},
 		"negative worker":     {{Worker: -1, Job: 0}},
 	} {
-		red := &Redundancy{Mode: "replicated", Units: units}
-		if err := RunRedundantContext(context.Background(), cfg, plan, a, b, c, red); err == nil {
+		cfg.Options.Redundancy = &Redundancy{Mode: "replicated", Units: units}
+		if err := RunContext(context.Background(), cfg, plan, a, b, c); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -7,10 +7,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Process-wide executor metrics. Every executor (sequential, pipelined,
-// elastic) funnels through runJob/elasticRunJob or the sequential op loop,
-// so these four counters plus the three per-op latency histograms cover all
-// real executions — in-process, distributed, and every serve lease.
+// Process-wide executor metrics. There are two plan-execution loops — the
+// sequential oracle (ExecuteContext) and the concurrent core (Dispatch) — and
+// each has exactly one place per event: a chunk is counted where it is
+// dispatched (the sequential SendC op / runJob, the core's runUnit), a worker
+// failure and the orphans it leaves where the worker is retired (each loop's
+// retire), a re-plan in the core's reassign hook, the redundancy family in
+// the core's commit hook (the k-of-n gate), and every backend operation's
+// latency in stager.observe. So these counters and histograms cover all real
+// executions — in-process, distributed, and every serve lease — and mean the
+// same thing under every policy.
 var (
 	mChunks = obs.NewCounter("mm_engine_chunks_total",
 		"Chunk jobs dispatched to workers, replays included.")
@@ -19,7 +25,7 @@ var (
 	mFailovers = obs.NewCounter("mm_engine_worker_failures_total",
 		"Workers retired mid-run (connection loss, heartbeat timeout, elastic departure).")
 	mReplans = obs.NewCounter("mm_engine_replans_total",
-		"Elastic executor re-plans (worker join, departure, or estimate drift).")
+		"Elastic re-plans (worker join, departure, or estimate drift).")
 
 	mRedundantUnits = obs.NewCounter("mm_engine_redundant_units_total",
 		"Redundant work units dispatched by the k-of-n gate (replicas, parities, speculative copies).")

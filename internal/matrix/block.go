@@ -8,7 +8,7 @@
 // which selects the fastest implementation for the host CPU at startup
 // (register-blocked pure Go everywhere, AVX2 assembly on capable amd64) while
 // guaranteeing bitwise-identical results across implementations. Real
-// execution paths (internal/engine, internal/cluster) therefore perform
+// execution paths (internal/engine, internal/net) therefore perform
 // genuine floating-point work with the same q³ operation count per block
 // update that the paper's model charges as one w_i time unit.
 package matrix

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -54,7 +55,7 @@ func TestCacheLoopbackBitwiseAndSkips(t *testing.T) {
 	run := func(c *matrix.BlockMatrix) []WorkerCacheStats {
 		t.Helper()
 		m.BeginJob(jp)
-		if err := m.RunPipelined(inst.T, plan, a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, c, engine.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		st := m.CacheStats()
@@ -139,7 +140,7 @@ func TestCacheOffWorkerFallsBack(t *testing.T) {
 	defer m.Shutdown()
 
 	m.BeginJob(cache.PanelsForJob(a, b))
-	if err := m.RunPipelined(inst.T, plan, a, b, cNet); err != nil {
+	if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.CacheStats()
@@ -190,7 +191,7 @@ func TestCacheTinyBudgetEvictionMidLease(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.BeginJob(cache.PanelsForJob(a, b))
-		if err := m.RunPipelined(inst.T, plan, a, b, cNet); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, engine.Options{}); err != nil {
 			t.Fatalf("job %d: %v", job, err)
 		}
 		m.EndJob()
@@ -234,7 +235,7 @@ func TestCacheCrashFailoverStaysCorrect(t *testing.T) {
 	defer m.Shutdown()
 
 	m.BeginJob(cache.PanelsForJob(a, b))
-	if err := m.RunPipelined(inst.T, plan, a, b, cNet); err != nil {
+	if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	m.EndJob()

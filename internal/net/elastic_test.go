@@ -89,7 +89,7 @@ func TestElasticJoinAndDepartOverTCP(t *testing.T) {
 		joinErr <- nil
 	}()
 
-	if err := m.RunElasticContext(context.Background(), inst.T, plan, a, b, cNet, el); err != nil {
+	if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, engine.Options{Elastic: el}); err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
 	if err := <-joinErr; err != nil {
@@ -168,7 +168,7 @@ func TestElasticCancelReachesJoinedWorker(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		errc <- m.RunElasticContext(ctx, inst.T, res.Plan(), a, b, c, &engine.Elastic{Tracker: tr, Join: join})
+		errc <- m.Execute(ctx, inst.T, res.Plan(), a, b, c, engine.Options{Elastic: &engine.Elastic{Tracker: tr, Join: join}})
 	}()
 	// Join the second worker while the first is stalled mid-job, then cancel:
 	// the whole run — joined connection included — must unwind promptly.

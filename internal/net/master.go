@@ -25,8 +25,8 @@ type MasterOptions struct {
 	// heartbeat interval, every receive: a worker that neither beats nor
 	// answers within max(IOTimeout, 3×heartbeat) is declared down. Default 30s.
 	IOTimeout time.Duration
-	// OnePort serializes outbound frames across workers when RunPipelined
-	// drives the links concurrently, approximating the paper's one-port
+	// OnePort serializes outbound frames across workers when Execute drives
+	// the links concurrently, approximating the paper's one-port
 	// master on the send side (return transfers ride the kernel's receive
 	// path and are not gated). Faithful to the model, the port stays busy
 	// for a send's full duration — including a stalled worker's, so a dead
@@ -51,8 +51,8 @@ func (o *MasterOptions) withDefaults() MasterOptions {
 }
 
 // link is one worker connection; a nil conn marks a retired worker. Each
-// link carries its own block codecs (one per direction) so the pipelined
-// executor's per-worker goroutines encode and decode without shared state,
+// link carries its own block codecs (one per direction) so the core's
+// per-worker dispatch goroutines encode and decode without shared state,
 // and steady-state frames reuse the codecs' scratch buffers.
 type link struct {
 	conn      net.Conn
@@ -256,17 +256,16 @@ func (wc *WorkerConn) Close() {
 }
 
 // Master drives remote workers over TCP. It implements engine.Backend, so
-// Run executes plans through exactly the same code path as the in-process
-// engine; only the block transport differs.
+// RunContext and Execute run plans through exactly the same two loops as the
+// in-process engine; only the block transport differs.
 //
-// A Master is reusable: successive Run/RunPipelined calls replay successive
+// A Master is reusable: successive RunContext/Execute calls replay successive
 // plans over the same worker sessions (each job leaves every worker idle
 // again), and Detach recovers the still-open connections for pooling.
 //
 // A Master is also *growable*: AddWorker joins a registered connection while
-// a run is in flight, which is how the elastic executor
-// (RunElasticContext) re-plans mid-job onto workers that arrive after the
-// job started.
+// a run is in flight, which is how Execute's elastic policy re-plans mid-job
+// onto workers that arrive after the job started.
 type Master struct {
 	opts MasterOptions
 	gate *engine.TransferGate // non-nil when opts.OnePort: serializes sends
@@ -344,7 +343,7 @@ func NewMaster(conns []*WorkerConn, opts *MasterOptions) (*Master, error) {
 // AddWorker joins an already-registered worker connection to this master:
 // the link is appended and becomes addressable as the next plan worker
 // index, which AddWorker returns. It is safe while a run is in flight — the
-// elastic executor (RunElasticContext) is told the index through
+// elastic policy (Execute with Options.Elastic) is told the index through
 // Elastic.Join and re-plans un-dispatched chunks onto the newcomer; a
 // cancellation arriving meanwhile reaches the new connection too. The
 // master owns the connection from here on, exactly as if it had been part
@@ -444,7 +443,7 @@ func (m *Master) Workers() int {
 }
 
 // down retires a worker's link and wraps the cause as engine.ErrWorkerDown so
-// Execute re-queues its jobs. The conn field is nilled under the table lock
+// the engine re-queues its jobs. The conn field is nilled under the table lock
 // so CancelUnit's concurrent snapshot never races the retirement.
 func (m *Master) down(w int, op string, cause error) error {
 	l := m.link(w)
@@ -497,19 +496,23 @@ func (m *Master) CancelUnit(w int, ch matrix.Chunk) {
 
 // ioDeadline is now+base clipped to the running context's deadline, so a
 // ctx with a budget shorter than IOTimeout bounds every blocking send and
-// receive; a cancelled (not merely deadlined) ctx is handled separately by
-// the interrupt installed in runContext.
+// receive. A cancelled ctx interrupts I/O already parked through the slam
+// installed in runContext; an operation that only starts after the slam would
+// overwrite the expired deadline it left, so it gets an expired one here.
 func (m *Master) ioDeadline(base time.Duration) time.Time {
-	if m.runCtx != nil {
-		return deadlineWithin(m.runCtx, base)
+	if m.runCtx == nil {
+		return time.Now().Add(base)
 	}
-	return time.Now().Add(base)
+	if m.runCtx.Err() != nil {
+		return time.Now()
+	}
+	return deadlineWithin(m.runCtx, base)
 }
 
 // send frames one message to worker w with the write deadline applied. With
 // OnePort, the frame occupies the master's single send port (the gate) for
-// the duration of the write — the pipelined executor's concurrent dispatch
-// goroutines then ship at most one outbound transfer at a time, while their
+// the duration of the write — the core's concurrent dispatch goroutines
+// then ship at most one outbound transfer at a time, while their
 // workers keep computing.
 func (m *Master) send(w int, op string, msg *Msg) error {
 	l := m.link(w)
@@ -536,37 +539,25 @@ func (m *Master) SendC(w int, ch matrix.Chunk, blocks []*matrix.Block) error {
 	return m.send(w, "send chunk", &Msg{Kind: MsgChunk, Chunk: ch, Blocks: blocks})
 }
 
-// SendAB implements engine.Backend. The A/B pointer lists are concatenated
-// into the link's scratch slice — safe to reuse per send because the frame
-// is fully staged on the wire before send returns, and each link is driven
-// by at most one dispatch goroutine at a time.
+// SendAB implements engine.Backend: by digest when the job's cache epoch
+// covers this worker, as a plain streamed frame otherwise.
 func (m *Master) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
-	l := m.link(w)
-	if l == nil {
-		return fmt.Errorf("net: send install to unknown worker %d: %w", w, engine.ErrWorkerDown)
+	if l := m.link(w); l != nil && l.cacheable {
+		if jp := m.jobPanels(); jp != nil {
+			return m.sendInstallD(w, l, jp, ch, k0, k1, a, b)
+		}
 	}
-	if jp := m.jobPanels(); jp != nil && l.cacheable {
-		return m.sendInstallD(w, l, jp, ch, k0, k1, a, b)
-	}
-	st := m.stat(w)
-	q := 0
-	if len(a) > 0 {
-		q = a[0].Q
-	} else if len(b) > 0 {
-		q = b[0].Q
-	}
-	ws := int64(k1-k0) * int64(matrix.BlockWireSize(q))
-	st.aSent.Add(int64(ch.H) * ws)
-	st.bSent.Add(int64(ch.W) * ws)
-	l.abBuf = append(append(l.abBuf[:0], a...), b...)
-	return m.send(w, "send install", &Msg{Kind: MsgInstall, Chunk: ch, K0: k0, K1: k1, Blocks: l.abBuf})
+	return m.SendABRaw(w, ch, k0, k1, a, b)
 }
 
 // SendABRaw implements engine.RawSender: ship the installment as a plain
 // streamed frame even when a panel-cache epoch is open. Parity units carry
 // pre-encoded payloads under borrowed chunk coordinates; addressing them by
 // the job's panel digests would install encoded bytes under the real panels'
-// identities on both sides of the link.
+// identities on both sides of the link. The A/B pointer lists are
+// concatenated into the link's scratch slice — safe to reuse per send because
+// the frame is fully staged on the wire before send returns, and each link is
+// driven by at most one dispatch goroutine at a time.
 func (m *Master) SendABRaw(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
 	l := m.link(w)
 	if l == nil {
@@ -673,70 +664,45 @@ func (m *Master) recvC(w int, ch matrix.Chunk, promote bool) ([]*matrix.Block, e
 	}
 }
 
-// Run executes plan against the connected workers: C ← C + A·B. It is the
-// networked twin of engine.Run — same executor, same failover, different
-// transport. Workers that die mid-run have their outstanding chunks replayed
-// on the survivors.
+// RunContext executes plan against the connected workers through the
+// sequential oracle (engine.ExecuteContext): C ← C + A·B, ops strictly in plan
+// order. It is the networked twin of engine.RunContext — same loop, same
+// failover, different transport.
 //
-// Run cannot be interrupted; library callers should prefer RunContext (or
-// the matmul facade).
-func (m *Master) Run(t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	return m.RunContext(context.Background(), t, plan, a, b, c)
-}
-
-// RunContext is Run under a context: every blocking send and receive
-// finishes by the earlier of ctx's deadline and IOTimeout, and cancelling
-// ctx interrupts in-flight socket I/O immediately (the links are slammed
-// with an already-expired deadline), failing the run with an error wrapping
-// ctx.Err(). After an aborted run the worker sessions are tainted — discard
-// them (Close / a failed-lease Return), do not pool them.
+// Every blocking send and receive finishes by the earlier of ctx's deadline
+// and IOTimeout, and cancelling ctx interrupts in-flight socket I/O
+// immediately (the links are slammed with an already-expired deadline),
+// failing the run with an error wrapping ctx.Err(). After an aborted run the
+// worker sessions are tainted — discard them (Close / a failed-lease Return),
+// do not pool them.
 func (m *Master) RunContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
 	defer m.runContext(ctx)()
 	return engine.ExecuteContext(ctx, t, plan, a, b, c, m)
 }
 
-// RunPipelined executes plan with the concurrent executor: one dispatch
-// goroutine per worker link, so every worker's socket stays fed while other
-// workers compute or return results. C is bitwise-identical to Run's. With
-// MasterOptions.OnePort the outbound frames are still serialized through the
-// master's single send port.
-//
-// RunPipelined cannot be interrupted; library callers should prefer
-// RunPipelinedContext (or the matmul facade).
-func (m *Master) RunPipelined(t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	return m.RunPipelinedContext(context.Background(), t, plan, a, b, c)
+// Execute executes plan through the concurrent core (engine.Dispatch): one
+// dispatch goroutine per worker link, so every worker's socket stays fed
+// while other workers compute or return results; with MasterOptions.OnePort
+// the outbound frames are still serialized through the master's single send
+// port. opts carries the core's policies. The zero value is the static
+// pipelined run. opts.Elastic feeds the tracker's live estimates, re-plans
+// dead workers' chunks and drifted assignments, and folds in workers joined
+// mid-run with AddWorker (their indices delivered on Elastic.Join; their
+// connections are interrupted by a cancellation too). opts.Redundancy runs
+// the k-of-n gate: the first result of a chunk wins, laggards are
+// wire-cancelled through CancelUnit's handshake, parity decode stands in for
+// a straggler's missing result. C is bitwise-identical to RunContext's under
+// every policy (short of a parity decode). Cancellation semantics match
+// RunContext.
+func (m *Master) Execute(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, opts engine.Options) error {
+	defer m.runContext(ctx)()
+	return engine.Dispatch(ctx, t, plan, a, b, c, m, opts)
 }
 
-// RunPipelinedContext is RunPipelined under a context, with RunContext's
-// cancellation semantics.
+// RunPipelinedContext is Execute with zero options, nothing more. It survives
+// only because the frozen benchmark (bench/) calls it by this name.
 func (m *Master) RunPipelinedContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix) error {
-	defer m.runContext(ctx)()
-	return engine.ExecutePipelinedContext(ctx, t, plan, a, b, c, m)
-}
-
-// RunRedundantContext executes plan with the k-of-n redundancy gate (see
-// engine.ExecuteRedundantContext): each chunk may be dispatched to several
-// workers, the first result wins, laggard units are wire-cancelled through
-// CancelUnit's handshake, and parity units (red's coded mode) let decode
-// stand in for a straggler's missing results. C is bitwise-identical to
-// Run's whenever the systematic results complete. Cancellation semantics
-// match RunContext.
-func (m *Master) RunRedundantContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, red *engine.Redundancy) error {
-	defer m.runContext(ctx)()
-	return engine.ExecuteRedundantContext(ctx, t, plan, a, b, c, m, red)
-}
-
-// RunElasticContext executes plan with the adaptive executor (see
-// engine.ExecuteElasticContext): transfers and computes feed el.Tracker's
-// live estimates, dead workers' chunks are re-planned onto the survivors,
-// drift past el.DriftThreshold rebalances the un-dispatched remainder, and
-// workers joined mid-run with AddWorker (their indices delivered on
-// el.Join) are folded into the running job. C is bitwise-identical to Run's
-// under every membership change. Cancellation semantics match RunContext —
-// connections joined mid-run are interrupted too.
-func (m *Master) RunElasticContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.BlockMatrix, el *engine.Elastic) error {
-	defer m.runContext(ctx)()
-	return engine.ExecuteElasticContext(ctx, t, plan, a, b, c, m, el)
+	return m.Execute(ctx, t, plan, a, b, c, engine.Options{})
 }
 
 // runBinding is one in-flight run's cancellation fan-out set: the

@@ -56,7 +56,7 @@ type WorkerCacheStats struct {
 // installments that omit resident panels. A nil jp (or not calling BeginJob
 // at all) keeps the legacy full-transfer protocol.
 //
-// Call it before Run/RunPipelined/RunElastic, never during: the handshake
+// Call it before RunContext/Execute, never during: the handshake
 // uses the links' codecs, which the run's dispatch goroutines own. A worker
 // that fails the handshake is retired exactly as a failed send would retire
 // it; the executor's failover re-plans around it.

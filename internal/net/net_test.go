@@ -83,7 +83,7 @@ func TestLoopbackMatchesEngineBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dial: %v", s.Name(), err)
 		}
-		if err := m.Run(inst.T, plan, a, b, cNet); err != nil {
+		if err := m.RunContext(context.Background(), inst.T, plan, a, b, cNet); err != nil {
 			t.Fatalf("%s: distributed run: %v", s.Name(), err)
 		}
 		if err := m.Shutdown(); err != nil {
@@ -134,7 +134,7 @@ func TestPipelinedLoopbackMatchesEngineBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dial: %v", s.Name(), err)
 		}
-		if err := m.RunPipelined(inst.T, plan, a, b, cNet); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, cNet, engine.Options{}); err != nil {
 			t.Fatalf("%s: pipelined distributed run: %v", s.Name(), err)
 		}
 		if err := m.Shutdown(); err != nil {
@@ -177,7 +177,7 @@ func TestPipelinedWorkerCrashFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("victim %d: dial: %v", victim, err)
 		}
-		if err := m.RunPipelined(inst.T, res.Plan(), a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, engine.Options{}); err != nil {
 			t.Fatalf("victim %d: pipelined run did not survive the crash: %v", victim, err)
 		}
 		if err := m.Shutdown(); err != nil {
@@ -213,7 +213,7 @@ func TestWorkerCrashFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("victim %d: dial: %v", victim, err)
 		}
-		if err := m.Run(inst.T, res.Plan(), a, b, c); err != nil {
+		if err := m.RunContext(context.Background(), inst.T, res.Plan(), a, b, c); err != nil {
 			t.Fatalf("victim %d: run did not survive the crash: %v", victim, err)
 		}
 		if err := m.Shutdown(); err != nil {
@@ -249,7 +249,7 @@ func TestWorkerKillMidRunViaConnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(inst.T, res.Plan(), a, b, c); err != nil {
+	if err := m.RunContext(context.Background(), inst.T, res.Plan(), a, b, c); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	m.Shutdown()
@@ -289,7 +289,7 @@ func TestIdleClientCannotWedgeWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c, want := testMatrices(t, inst, 2, 53)
-	if err := m.Run(inst.T, res.Plan(), a, b, c); err != nil {
+	if err := m.RunContext(context.Background(), inst.T, res.Plan(), a, b, c); err != nil {
 		t.Fatalf("run after mute client: %v", err)
 	}
 	m.Shutdown()
@@ -336,7 +336,7 @@ func TestMasterReleaseWorkerReregisters(t *testing.T) {
 			t.Fatalf("round %d: dial after release: %v", round, err)
 		}
 		a, b, c, want := testMatrices(t, inst, 3, int64(90+round))
-		if err := m.RunPipelined(inst.T, res.Plan(), a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, engine.Options{}); err != nil {
 			t.Fatalf("round %d: run: %v", round, err)
 		}
 		if err := m.Release(); err != nil {
@@ -401,7 +401,7 @@ func TestMasterReuseAcrossJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b, c, want := testMatrices(t, inst, 3, int64(101+i))
-		if err := m.RunPipelined(inst.T, res.Plan(), a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, engine.Options{}); err != nil {
 			t.Fatalf("job %d on reused master: %v", i, err)
 		}
 		if d := c.MaxAbsDiff(want); d > 1e-9 {
@@ -448,7 +448,7 @@ func TestDetachedConnSurvivesIdleAndReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c, want := testMatrices(t, inst, 3, 113)
-	if err := m.RunPipelined(inst.T, res.Plan(), a, b, c); err != nil {
+	if err := m.Execute(context.Background(), inst.T, res.Plan(), a, b, c, engine.Options{}); err != nil {
 		t.Fatalf("run on kept-alive conn: %v", err)
 	}
 	if d := c.MaxAbsDiff(want); d > 1e-9 {
@@ -498,7 +498,7 @@ func TestRunContextCancelPromptOnStalledWorker(t *testing.T) {
 		}()
 		start := time.Now()
 		if pipelined {
-			err = m.RunPipelinedContext(ctx, inst.T, res.Plan(), a, b, c)
+			err = m.Execute(ctx, inst.T, res.Plan(), a, b, c, engine.Options{})
 		} else {
 			err = m.RunContext(ctx, inst.T, res.Plan(), a, b, c)
 		}

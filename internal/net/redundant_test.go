@@ -61,7 +61,7 @@ func TestRedundantLoopbackAbsorbsStalledWorker(t *testing.T) {
 	}
 	defer m.Close()
 	start := time.Now()
-	if err := m.RunRedundantContext(context.Background(), inst.T, plan, a, b, c, red); err != nil {
+	if err := m.Execute(context.Background(), inst.T, plan, a, b, c, engine.Options{Redundancy: red}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -122,7 +122,7 @@ func TestRedundantLoopbackCancelKeepsHealthyLink(t *testing.T) {
 		for ji, j := range jobs {
 			red.Units = append(red.Units, engine.RedundantUnit{Worker: (j.Worker + 1) % pl.P(), Job: ji})
 		}
-		if err := m.RunRedundantContext(context.Background(), inst.T, plan, a, b, c, red); err != nil {
+		if err := m.Execute(context.Background(), inst.T, plan, a, b, c, engine.Options{Redundancy: red}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if d := c.MaxAbsDiff(want); d > 1e-9 {

@@ -51,13 +51,9 @@ type WorkerOptions struct {
 	// worker answers every handshake "cache off" and masters fall back to
 	// full transfers).
 	Cache *cache.PanelCache
-	// Logf, when non-nil, receives serve-loop events (registrations,
-	// session ends) rendered as plain text. Superseded by Logger when both
-	// are set.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives serve-loop events as structured
-	// records (worker name, remote address, error attrs). Takes precedence
-	// over Logf.
+	// Logger, when non-nil, receives serve-loop events (registrations,
+	// session ends) as structured records (worker name, remote address,
+	// error attrs); nil discards them.
 	Logger *slog.Logger
 }
 
@@ -75,14 +71,11 @@ func (o WorkerOptions) idleTimeout() time.Duration {
 	return 2 * time.Minute
 }
 
-// logger resolves the session logger: explicit Logger first, then the
-// legacy printf callback bridged through obs.LogfLogger, then discard.
+// logger resolves the session logger: Logger tagged with the worker's name,
+// or discard.
 func (o WorkerOptions) logger(name string) *slog.Logger {
-	switch {
-	case o.Logger != nil:
+	if o.Logger != nil {
 		return o.Logger.With("worker", name)
-	case o.Logf != nil:
-		return obs.LogfLogger(o.Logf).With("worker", name)
 	}
 	return obs.NopLogger()
 }

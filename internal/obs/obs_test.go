@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -47,26 +46,6 @@ func TestNewLogger(t *testing.T) {
 	}
 	if _, err := NewLogger(io.Discard, "info", "xml"); err == nil {
 		t.Error("NewLogger accepted an unknown format")
-	}
-}
-
-// TestLogfLogger checks the bridge into the legacy printf callbacks: records
-// render as "msg key=value", attrs and groups accumulate, debug is dropped.
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	log := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	log.Debug("invisible")
-	log.With("worker", 3).WithGroup("lease").Info("job started", "id", 9)
-	if len(lines) != 1 {
-		t.Fatalf("lines = %q", lines)
-	}
-	if want := "job started worker=3 lease.id=9"; lines[0] != want {
-		t.Errorf("rendered %q, want %q", lines[0], want)
-	}
-	if LogfLogger(nil).Enabled(nil, slog.LevelError) {
-		t.Error("nil-callback logger should discard")
 	}
 }
 

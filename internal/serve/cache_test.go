@@ -92,7 +92,7 @@ func TestServerCacheAffinitySavesBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: testLogger(t)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 6, S: 8, T: 4}
@@ -153,7 +153,7 @@ func TestServerRedialInvalidatesResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: testLogger(t)})
 	defer s.Close()
 
 	a, b, c, want := testMatrices(t, sched.Instance{R: 4, S: 6, T: 3}, 4, 710)

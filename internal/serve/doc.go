@@ -7,7 +7,7 @@
 // admits submitted products into a queue, picks a throughput-best *subset* of
 // the idle fleet per job — the paper's resource selection, applied per
 // product instead of per process — and runs the leased jobs concurrently
-// through the backend-agnostic pipelined executor. Disjoint leases mean
+// through the engine's backend-agnostic concurrent core. Disjoint leases mean
 // concurrent jobs never share a worker session, so one job's failover (a
 // worker dying mid-job is replayed within its own lease) cannot touch another
 // job's arithmetic or its latency.

@@ -46,11 +46,9 @@ type FleetOptions struct {
 	// heartbeat backlog drained (so the socket buffer never fills while a
 	// session waits). Default 15s; negative disables.
 	Keepalive time.Duration
-	// Logf, when non-nil, receives fleet events (redials, downed workers)
-	// rendered as plain text. Superseded by Logger when both are set.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives fleet events as structured records
-	// carrying worker index and address attrs. Takes precedence over Logf.
+	// Logger, when non-nil, receives fleet events (redials, downed workers)
+	// as structured records carrying worker index and address attrs; nil
+	// discards them.
 	Logger *slog.Logger
 }
 
@@ -61,14 +59,10 @@ func (o FleetOptions) keepalive() time.Duration {
 	return 15 * time.Second
 }
 
-// logger resolves the fleet's logger: explicit Logger first, then the
-// legacy printf callback bridged through obs.LogfLogger, then discard.
+// logger resolves the fleet's logger: Logger, or discard.
 func (o FleetOptions) logger() *slog.Logger {
-	switch {
-	case o.Logger != nil:
+	if o.Logger != nil {
 		return o.Logger
-	case o.Logf != nil:
-		return obs.LogfLogger(o.Logf)
 	}
 	return obs.NopLogger()
 }

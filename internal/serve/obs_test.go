@@ -23,7 +23,7 @@ func TestTraceExportAndMetricsAgree(t *testing.T) {
 	}
 	defer f.Close()
 	dir := t.TempDir()
-	s := NewServer(f, Config{Logf: t.Logf, TraceDir: dir})
+	s := NewServer(f, Config{Logger: testLogger(t), TraceDir: dir})
 	defer s.Close()
 
 	// The obs registry is process-global, so compare before/after deltas:

@@ -581,32 +581,17 @@ func (s *Server) handleClient(conn net.Conn) {
 	}
 }
 
-// SubmitProduct is the client side of one submission: it ships A, B and C to
-// the daemon at addr, waits for the job to run, and returns the updated C
-// and the job id. timeout bounds the whole exchange — dial included (0: no
-// deadline — the job may legitimately queue for a while).
-//
-// Deprecated: library clients should use SubmitProductContext (or the matmul
-// facade's Remote runtime), which can also cancel the job mid-queue or
-// mid-run instead of merely abandoning the wait.
-func SubmitProduct(addr string, a, b, c *matrix.BlockMatrix, timeout time.Duration) (*matrix.BlockMatrix, uint64, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return SubmitProductContext(ctx, addr, a, b, c)
-}
-
 // cancelGrace bounds how long a cancelled submission waits for the daemon to
 // acknowledge the cancel frame with an error frame before abandoning the
 // connection.
 const cancelGrace = 10 * time.Second
 
-// SubmitProductContext is one submission under a context. The dial, the
-// upload, and the wait for the result are all bounded by ctx's deadline —
-// there is no hidden fixed dial budget that can outlive the caller's. If ctx
+// SubmitProductContext is the client side of one submission: it ships A, B
+// and C to the daemon at addr, waits for the job to run, and returns the
+// updated C and the job id. The dial, the upload, and the wait for the result
+// are all bounded by ctx's deadline — there is no hidden fixed dial budget
+// that can outlive the caller's (no deadline: the job may legitimately queue
+// for a while). If ctx
 // is cancelled while the job queues or runs, a cancel frame is sent so the
 // daemon dequeues or aborts the job (other jobs keep their leases), and the
 // returned error wraps ctx's error.

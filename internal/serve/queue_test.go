@@ -122,7 +122,7 @@ func oneWorkerStalledServer(t *testing.T, cfg Config, stallFor time.Duration) *S
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
-	cfg.Logf = t.Logf
+	cfg.Logger = testLogger(t)
 	s := NewServer(f, cfg)
 	t.Cleanup(s.Close)
 	return s

@@ -21,7 +21,7 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "replicated", RedundancyFactor: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "replicated", RedundancyFactor: 2, Logger: testLogger(t)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -34,7 +34,9 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 
 	inst := sched.Instance{R: 5, S: 7, T: 3}
 	a, b, c, want := testMatrices(t, inst, 8, 700)
-	got, id, err := SubmitProduct(daemon, a, b, c, 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +67,6 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 	if !found {
 		t.Fatalf("job %d missing from daemon stats", id)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	tr, err := FetchTraceContext(ctx, daemon, id)
 	if err != nil {
 		t.Fatalf("trace fetch: %v", err)
@@ -90,7 +89,7 @@ func TestDaemonRedundancyAutoFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "coded", Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "coded", Logger: testLogger(t)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -103,7 +102,9 @@ func TestDaemonRedundancyAutoFactor(t *testing.T) {
 
 	inst := sched.Instance{R: 5, S: 7, T: 3}
 	a, b, c, want := testMatrices(t, inst, 8, 701)
-	got, id, err := SubmitProduct(daemon, a, b, c, 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "replicated", RedundancyFactor: 3, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 3, Redundancy: "replicated", RedundancyFactor: 3, Logger: testLogger(t)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -154,7 +155,9 @@ func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 	inst := sched.Instance{R: 5, S: 7, T: 3}
 	a, b, c, want := testMatrices(t, inst, 8, 702)
 	start := time.Now()
-	got, id, err := SubmitProduct(daemon, a, b, c, 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}

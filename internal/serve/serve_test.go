@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"math/rand"
 	"net"
 	"testing"
@@ -14,6 +16,18 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
+
+// testLogger routes a component's structured log records into the test's log.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(tbWriter{t}, nil))
+}
+
+type tbWriter struct{ testing.TB }
+
+func (w tbWriter) Write(p []byte) (int, error) {
+	w.Logf("%s", bytes.TrimRight(p, "\n"))
+	return len(p), nil
+}
 
 // startWorkers launches n loopback worker daemons (the real serve loop of
 // cmd/mmworker) and returns their addresses.
@@ -137,7 +151,7 @@ func TestFleetLeaseReturnReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b, c, want := testMatrices(t, inst, 4, int64(200+round))
-		if err := m.RunPipelined(inst.T, sel.Plan, a, b, c); err != nil {
+		if err := m.Execute(context.Background(), inst.T, sel.Plan, a, b, c, engine.Options{}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		f.Return(sel.Workers, m, false)
@@ -198,7 +212,7 @@ func TestReturnFailedRecyclesSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c, want := testMatrices(t, inst, 3, 601)
-	if err := m2.RunPipelined(inst.T, sel.Plan, a, b, c); err != nil {
+	if err := m2.Execute(context.Background(), inst.T, sel.Plan, a, b, c, engine.Options{}); err != nil {
 		t.Fatalf("run on recycled sessions: %v", err)
 	}
 	f.Return(sel.Workers, m2, false)
@@ -217,7 +231,7 @@ func TestServerConcurrentJobsDisjointLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logger: testLogger(t)})
 	defer s.Close()
 
 	// Big enough that both jobs are still running when we look.
@@ -310,7 +324,7 @@ func TestConcurrentJobCrashIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logger: testLogger(t)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 6, S: 9, T: 4}
@@ -396,7 +410,7 @@ func TestClientProtocolLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logger: testLogger(t)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -414,10 +428,12 @@ func TestClientProtocolLoopback(t *testing.T) {
 		err  error
 	}
 	results := make(chan result, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	for i := 0; i < 2; i++ {
 		a, b, c, want := testMatrices(t, inst, 8, int64(500+i))
 		go func() {
-			got, _, err := SubmitProduct(daemon, a, b, c, 30*time.Second)
+			got, _, err := SubmitProductContext(ctx, daemon, a, b, c)
 			results <- result{c: got, want: want, err: err}
 		}()
 	}
@@ -493,7 +509,7 @@ func TestCancelQueuedJobNeverLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: testLogger(t)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 4, S: 6, T: 3}
@@ -568,7 +584,7 @@ func TestCancelRunningJobLeaseIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	s := NewServer(f, Config{MaxWorkersPerJob: 2, Logger: testLogger(t)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 6, S: 9, T: 4}
@@ -646,7 +662,7 @@ func TestCloseFailsQueuedJobsPromptly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: testLogger(t)})
 
 	inst := sched.Instance{R: 4, S: 6, T: 3}
 	a1, b1, c1, _ := testMatrices(t, inst, 4, 701)
@@ -693,7 +709,7 @@ func TestWaitContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: testLogger(t)})
 	defer s.Close()
 
 	inst := sched.Instance{R: 4, S: 6, T: 3}
@@ -728,7 +744,7 @@ func TestClientCancelFrameAbortsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s := NewServer(f, Config{Logf: t.Logf})
+	s := NewServer(f, Config{Logger: testLogger(t)})
 	defer s.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

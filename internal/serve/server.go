@@ -69,10 +69,10 @@ type Config struct {
 	// per-worker throughput estimates (EWMA over observed transfers and
 	// computes, seeded from the declared specs), resource selection
 	// shortlists by *measured* speed instead of declared speed, each lease
-	// runs through the adaptive executor (mid-job re-planning on departures
-	// and estimate drift), and idle workers — including ones registered
-	// after startup via Fleet.Add — are attached to running jobs whenever no
-	// queued job is waiting for them.
+	// runs under the engine's elastic policy (mid-job re-planning on
+	// departures and estimate drift), and idle workers — including ones
+	// registered after startup via Fleet.Add — are attached to running jobs
+	// whenever no queued job is waiting for them.
 	Adaptive bool
 	// DriftThreshold is the relative estimate movement that re-plans a
 	// running lease (see engine.Elastic). 0: engine default; negative:
@@ -81,7 +81,7 @@ type Config struct {
 	// Redundancy turns on proactive straggler mitigation: every lease runs
 	// under the engine's k-of-n completion gate with the named coded mode
 	// ("replicated" or "coded"; empty or "off" keeps it off). Redundant
-	// leases use the gate executor instead of the elastic one — the gate's
+	// leases run under the gate instead of the elastic policy — the gate's
 	// speculation subsumes failover, and adapt estimates still price the
 	// redundancy placement — so mid-run estimate re-planning is traded for
 	// tail-latency cover.
@@ -120,12 +120,8 @@ type Config struct {
 	// a worker daemon without a cache degrades per-link via the handshake,
 	// so a caching server is always safe.
 	NoCache bool
-	// Logf, when non-nil, receives job lifecycle events rendered as plain
-	// text ("msg key=value ..."). Superseded by Logger when both are set.
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives job lifecycle events as structured
-	// records carrying job, worker, and lease attrs. Takes precedence over
-	// Logf.
+	// records carrying job, worker, and lease attrs; nil discards them.
 	Logger *slog.Logger
 	// TraceDir, when non-empty, records every lease's transfers and writes
 	// one Chrome trace-event JSON file per completed job
@@ -135,14 +131,10 @@ type Config struct {
 	TraceDir string
 }
 
-// logger resolves the server's logger: explicit Logger first, then the
-// legacy printf callback bridged through obs.LogfLogger, then discard.
+// logger resolves the server's logger: Logger, or discard.
 func (c Config) logger() *slog.Logger {
-	switch {
-	case c.Logger != nil:
+	if c.Logger != nil {
 		return c.Logger
-	case c.Logf != nil:
-		return obs.LogfLogger(c.Logf)
 	}
 	return obs.NopLogger()
 }
@@ -282,8 +274,8 @@ const maxJobHistory = 4096
 // Server admits products into a queue and runs them on disjoint leased
 // subsets of a persistent fleet, concurrently. It is the paper's
 // master-process role stretched across many products: resource selection per
-// job, execution through the shared pipelined executor, failover within each
-// lease.
+// job, execution through the engine's one concurrent core, failover within
+// each lease.
 type Server struct {
 	fleet *Fleet
 	cfg   Config
@@ -972,42 +964,21 @@ func (s *Server) run(j *job, m *mmnet.Master) {
 		// the executor's failover handles it.
 		m.BeginJob(j.panels)
 	}
-	// With a trace directory configured, the job runs under a recorder: the
-	// executors emit one event per transfer at the hooks they already time
-	// for the estimate tracker, and the timeline is exported below the
-	// moment the lease ends.
 	// Every lease records its timeline — the recorder is cheap and clients
 	// can fetch a completed job's trace over the wire; TraceDir only decides
 	// whether the Chrome-trace file is also exported below.
 	ctx := j.ctx
 	rec := trace.NewRecorder(j.sel.Algorithm)
 	ctx = trace.NewContext(ctx, rec)
-	mode, _ := coded.ParseMode(s.cfg.Redundancy)
-	switch {
-	case mode != coded.ModeOff:
-		// Redundant lease: the k-of-n gate arbitrates completion. Placement is
-		// priced by the live estimates when the server is adaptive; the gate's
-		// speculation and wire-cancel replace elastic re-planning.
-		var red *engine.Redundancy
-		red, err = s.planRedundancy(j, m, mode)
-		if err == nil {
-			err = m.RunRedundantContext(ctx, j.inst.T, j.sel.Plan, j.a, j.b, j.c, red)
-		}
-		if red != nil {
-			st := red.Stats()
-			j.redStats = &RedundancyStats{
-				Mode: string(mode), Units: st.Units, DuplicateWins: st.DuplicateWins,
-				WastedBytes: st.WastedBytes, Decodes: st.Decodes,
-				Absorbed: st.Absorbed, Speculative: st.Speculative,
-			}
-			mRedUnits.Add(st.Units)
-			mRedDuplicateWins.Add(st.DuplicateWins)
-			mRedWastedBytes.Add(st.WastedBytes)
-			mRedDecodes.Add(st.Decodes)
-			mRedAbsorbed.Add(st.Absorbed)
-		}
-	case j.view != nil:
-		el := &engine.Elastic{
+	// The lease's policies, as data for the one concurrent core. A redundant
+	// lease is arbitrated by the k-of-n gate, its placement priced by the live
+	// estimates when the server is adaptive; the gate's speculation and
+	// wire-cancel replace elastic re-planning.
+	var opts engine.Options
+	if mode, _ := coded.ParseMode(s.cfg.Redundancy); mode != coded.ModeOff {
+		opts.Redundancy, err = s.planRedundancy(j, m, mode)
+	} else if j.view != nil {
+		opts.Elastic = &engine.Elastic{
 			Tracker:        j.view,
 			Join:           j.join,
 			DriftThreshold: s.cfg.DriftThreshold,
@@ -1017,9 +988,22 @@ func (s *Server) run(j *job, m *mmnet.Master) {
 				s.log.Info("job re-planned", "job", j.id, "reason", reason, "redistributed", pending)
 			},
 		}
-		err = m.RunElasticContext(ctx, j.inst.T, j.sel.Plan, j.a, j.b, j.c, el)
-	default:
-		err = m.RunPipelinedContext(ctx, j.inst.T, j.sel.Plan, j.a, j.b, j.c)
+	}
+	if err == nil {
+		err = m.Execute(ctx, j.inst.T, j.sel.Plan, j.a, j.b, j.c, opts)
+	}
+	if red := opts.Redundancy; red != nil {
+		st := red.Stats()
+		j.redStats = &RedundancyStats{
+			Mode: red.Mode, Units: st.Units, DuplicateWins: st.DuplicateWins,
+			WastedBytes: st.WastedBytes, Decodes: st.Decodes,
+			Absorbed: st.Absorbed, Speculative: st.Speculative,
+		}
+		mRedUnits.Add(st.Units)
+		mRedDuplicateWins.Add(st.DuplicateWins)
+		mRedWastedBytes.Add(st.WastedBytes)
+		mRedDecodes.Add(st.Decodes)
+		mRedAbsorbed.Add(st.Absorbed)
 	}
 	j.trace = rec.Trace()
 	if s.cfg.TraceDir != "" {

@@ -140,8 +140,8 @@ func WithAlgorithm(name string) Option {
 	}
 }
 
-// WithPipelined selects between the concurrent per-worker executor (true,
-// the default) and the strictly sequential op loop. C is bitwise-identical
+// WithPipelined selects between the concurrent dispatch core (true, the
+// default) and the strictly sequential op loop. C is bitwise-identical
 // either way.
 func WithPipelined(on bool) Option {
 	return func(c *config) error {
@@ -213,7 +213,7 @@ func WithWorkerShutdown() Option {
 // WithAdaptive turns on the adaptive (elastic) runtime for InProcess and
 // Distributed sessions: the session maintains live per-worker throughput
 // estimates (EWMA over every observed transfer and compute, seeded from the
-// declared platform), jobs run through the elastic executor — un-dispatched
+// declared platform), jobs run under the engine's elastic policy — un-dispatched
 // chunks are re-planned onto the live estimates whenever a worker departs,
 // a worker joins (Session.AddWorker, Distributed only), or an estimate
 // drifts past the threshold — and Session.Stats exposes the estimates. The
@@ -264,8 +264,8 @@ func WithPanelCache(on bool) Option {
 //   - "off" disables (the default).
 //
 // r ≤ 0 defaults to 1. On an adaptive session (WithAdaptive) the measured
-// estimates price redundant placement; the gate executor subsumes the
-// elastic one for redundant jobs, so drift re-planning is idle while they
+// estimates price redundant placement; the k-of-n gate subsumes the
+// elastic policy for redundant jobs, so drift re-planning is idle while they
 // run. A Remote session rejects this option: redundancy lives daemon-side
 // there (mmserve -redundancy).
 func WithRedundancy(mode string, r int) Option {

@@ -1,8 +1,10 @@
 package matmul
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"math/rand"
 	stdnet "net"
 	"testing"
@@ -15,6 +17,14 @@ import (
 	"repro/internal/sched"
 	"repro/internal/serve"
 )
+
+// tbWriter routes the daemon's structured log records into the test's log.
+type tbWriter struct{ testing.TB }
+
+func (w tbWriter) Write(p []byte) (int, error) {
+	w.Logf("%s", bytes.TrimRight(p, "\n"))
+	return len(p), nil
+}
 
 // seeded builds the A, B, C operands of one product.
 func seeded(t *testing.T, r, s, tt, q int, seed int64) (a, b, c *Matrix) {
@@ -77,7 +87,7 @@ func startDaemon(t *testing.T, workers int, opts func(i int) mmnet.WorkerOptions
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	srv := serve.NewServer(fleet, serve.Config{MaxWorkersPerJob: 2, Logf: t.Logf})
+	srv := serve.NewServer(fleet, serve.Config{MaxWorkersPerJob: 2, Logger: slog.New(slog.NewTextHandler(tbWriter{t}, nil))})
 	t.Cleanup(srv.Close)
 	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

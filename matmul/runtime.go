@@ -134,26 +134,11 @@ func (s *inProcessSession) run(ctx context.Context, _ *Job, ah, bh *Operand, c *
 		Platform: s.pl, TimePerUnit: s.cfg.pacing,
 		Pipelined: s.cfg.pipelined, OnePort: s.cfg.onePort, Procs: s.cfg.procs,
 	}
-	if s.cfg.redundant() {
-		// Redundant jobs run through the k-of-n gate, which subsumes the
-		// elastic executor's failover; an adaptive session's estimates still
-		// price the redundant placement.
-		red, err := planRedundancy(s.cfg, a.Cols, plan, a, c, s.pl.P(), s.tracker)
-		if err != nil {
-			return err
-		}
-		return engine.RunRedundantContext(ctx, ecfg, plan, a, b, c, red)
-	}
-	if s.tracker != nil {
-		// The in-process fleet is fixed (goroutine workers neither crash nor
-		// join), so elasticity here means estimate tracking plus
-		// drift-triggered rebalancing of the un-dispatched chunks.
-		el := &engine.Elastic{
-			Tracker:        s.tracker,
-			DriftThreshold: s.cfg.drift,
-			OnReplan:       func(string, int) { s.replans.Add(1) },
-		}
-		return engine.RunElasticContext(ctx, ecfg, plan, a, b, c, el)
+	// The in-process fleet is fixed (goroutine workers neither crash nor
+	// join), so elasticity here means estimate tracking plus drift-triggered
+	// rebalancing of the un-dispatched chunks: no join feed.
+	if ecfg.Options, err = runOptions(s.cfg, plan, a, c, s.pl.P(), s.tracker, nil, &s.replans); err != nil {
+		return err
 	}
 	return engine.RunContext(ctx, ecfg, plan, a, b, c)
 }
@@ -256,28 +241,15 @@ func (s *distributedSession) run(ctx context.Context, _ *Job, ah, bh *Operand, c
 		s.m.BeginJob(jobPanels(ah, bh))
 		defer s.m.EndJob()
 	}
-	switch {
-	case s.cfg.redundant():
-		// The gate subsumes elastic failover for this job; see the
-		// in-process run path. A plan error aborts before any dispatch, so
-		// the links stay clean for the next job.
-		var red *engine.Redundancy
-		red, err = planRedundancy(s.cfg, a.Cols, plan, a, c, pl.P(), s.tracker)
-		if err != nil {
-			return err
-		}
-		err = s.m.RunRedundantContext(ctx, a.Cols, plan, a, b, c, red)
-	case s.tracker != nil:
-		el := &engine.Elastic{
-			Tracker:        s.tracker,
-			Join:           s.join,
-			DriftThreshold: s.cfg.drift,
-			OnReplan:       func(string, int) { s.replans.Add(1) },
-		}
-		err = s.m.RunElasticContext(ctx, a.Cols, plan, a, b, c, el)
-	case s.cfg.pipelined:
-		err = s.m.RunPipelinedContext(ctx, a.Cols, plan, a, b, c)
-	default:
+	// A redundancy-plan error aborts before any dispatch, so the links stay
+	// clean for the next job.
+	opts, err := runOptions(s.cfg, plan, a, c, pl.P(), s.tracker, s.join, &s.replans)
+	if err != nil {
+		return err
+	}
+	if s.cfg.pipelined { // Open rejects an adaptive or redundant session without it
+		err = s.m.Execute(ctx, a.Cols, plan, a, b, c, opts)
+	} else {
 		err = s.m.RunContext(ctx, a.Cols, plan, a, b, c)
 	}
 	if err != nil {
@@ -512,15 +484,31 @@ func (s *remoteSession) stats(ctx context.Context) (SessionStats, error) {
 
 func (s *remoteSession) close() error { return nil }
 
-// planRedundancy builds the k-of-n gate input for one local job: mode and
-// factor from the session config, placement priced by the tracker's live
-// estimates when the session is adaptive.
-func planRedundancy(cfg *config, t int, plan []sim.PlanOp, a, c *Matrix, workers int, tr *adapt.Tracker) (*engine.Redundancy, error) {
-	opts := coded.Options{Mode: cfg.redundancy, R: cfg.redundancyR}
-	if tr != nil {
-		opts.Estimator = tr
+// runOptions builds the concurrent core's policies for one local job from
+// the session config. A redundant job runs through the k-of-n gate, which
+// subsumes elastic failover — mode and factor from the config, placement
+// priced by the tracker's live estimates when the session is adaptive.
+// Otherwise an adaptive session runs elastic: tr observes, join feeds workers
+// added mid-run, replans counts re-plans. Neither: the zero Options, a static
+// run.
+func runOptions(cfg *config, plan []sim.PlanOp, a, c *Matrix, workers int, tr *adapt.Tracker, join <-chan int, replans *atomic.Int32) (engine.Options, error) {
+	if cfg.redundant() {
+		opts := coded.Options{Mode: cfg.redundancy, R: cfg.redundancyR}
+		if tr != nil {
+			opts.Estimator = tr
+		}
+		red, err := coded.Plan(a.Cols, plan, a, c, workers, opts)
+		return engine.Options{Redundancy: red}, err
 	}
-	return coded.Plan(t, plan, a, c, workers, opts)
+	if tr != nil {
+		return engine.Options{Elastic: &engine.Elastic{
+			Tracker:        tr,
+			Join:           join,
+			DriftThreshold: cfg.drift,
+			OnReplan:       func(string, int) { replans.Add(1) },
+		}}, nil
+	}
+	return engine.Options{}, nil
 }
 
 // schedule plans one job's product on pl with the session's scheduler and

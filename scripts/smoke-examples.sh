@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Smoke-test the runnable examples: build every example, then actually run
+# Smoke-test the runnable examples: build every example (the gob-era
+# examples/cluster is gone with its runtime; distributed covers every smoke it
+# had), then actually run
 # the fast ones (quickstart: scheduling only; library: the public matmul
 # facade driving all three runtimes bitwise-identically plus a mid-transfer
 # cancellation; distributed: a real TCP master-worker round trip on
-# loopback, low-level executors and the facade; serve: an mmserve daemon
+# loopback, both low-level loops and the facade; serve: an mmserve daemon
 # over a persistent 4-worker fleet running two concurrent facade submissions
 # plus a post-crash job; elastic: a worker crashing mid-job and another
-# joining mid-job under the adaptive executor — every C verified bitwise
+# joining mid-job under the elastic policy — every C verified bitwise
 # against the in-process engine) and fail on any non-zero exit.
 #
 # Every example runs under timeout(1): a deadlocked example fails the job in
