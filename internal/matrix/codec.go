@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,11 +16,11 @@ import (
 const blockMagic = 0x424c4b31 // "BLK1"
 
 // BlockCodec serializes and deserializes framed blocks through a reusable
-// scratch buffer, optionally drawing decoded blocks from a BlockPool. A
-// plain WriteBlock/ReadBlock call allocates a staging buffer the size of the
-// block payload (~51 KB at q=80) every time; a long-lived codec per
-// connection reuses one buffer and, with a pool, reuses the blocks
-// themselves, so a steady-state transfer loop performs no allocation at all.
+// scratch buffer, optionally drawing decoded blocks from a BlockPool. The
+// zero value works as a one-shot codec, allocating a staging buffer the size
+// of the block payload (~51 KB at q=80); a long-lived codec per connection
+// reuses one buffer and, with a pool, reuses the blocks themselves, so a
+// steady-state transfer loop performs no allocation at all.
 //
 // A BlockCodec is not safe for concurrent use; give each goroutine (or each
 // connection direction) its own.
@@ -70,16 +71,37 @@ func (c *BlockCodec) ReadBlock(r io.Reader) (*Block, error) {
 	if q <= 0 || q > 1<<14 {
 		return nil, fmt.Errorf("matrix: implausible block edge %d", q)
 	}
-	b := c.Pool.Get(q)
-	buf := c.scratch(8 * len(b.Data))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		c.Pool.Put(b)
+	buf, err := c.fill(r, 8*q*q)
+	if err != nil {
 		return nil, fmt.Errorf("matrix: read block payload: %w", err)
 	}
+	b := c.Pool.Get(q)
 	for i := range b.Data {
 		b.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return b, nil
+}
+
+// coldScratch is the largest payload a cold codec stages on the header's word
+// alone; every real block (q ≤ 362) is below it.
+const coldScratch = 1 << 20
+
+// fill reads an n-byte block payload into the scratch buffer. The block edge
+// came off the wire, so a buffer that must first grow past coldScratch grows
+// with the bytes that actually arrive, and the block itself is allocated only
+// once its payload is in: a hostile 8-byte header costs what it ships.
+func (c *BlockCodec) fill(r io.Reader, n int) ([]byte, error) {
+	if cap(c.buf) < n && n > coldScratch {
+		var b bytes.Buffer
+		if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+			return nil, err
+		}
+		c.buf = b.Bytes()
+		return c.buf, nil
+	}
+	buf := c.scratch(n)
+	_, err := io.ReadFull(r, buf)
+	return buf, err
 }
 
 // WriteBlocks serializes a block list as a count followed by each block.
@@ -122,17 +144,6 @@ func (c *BlockCodec) ReadBlocks(r io.Reader) ([]*Block, error) {
 	return blocks, nil
 }
 
-// WriteBlock serializes b to w in the framed binary format with a one-shot
-// codec (allocates a staging buffer; hot paths should hold a BlockCodec).
-func WriteBlock(w io.Writer, b *Block) error {
-	return (&BlockCodec{}).WriteBlock(w, b)
-}
-
-// ReadBlock deserializes one framed block from r with a one-shot codec.
-func ReadBlock(r io.Reader) (*Block, error) {
-	return (&BlockCodec{}).ReadBlock(r)
-}
-
 // BlockWireSize returns the framed size in bytes of a q×q block, used by the
 // cluster runtime to budget link-rate emulation.
 func BlockWireSize(q int) int { return 8 + 8*q*q }
@@ -140,16 +151,3 @@ func BlockWireSize(q int) int { return 8 + 8*q*q }
 // maxBlockList caps how many blocks one message may carry; the largest real
 // payload is a full installment or chunk of a huge instance, far below this.
 const maxBlockList = 1 << 22
-
-// WriteBlocks serializes a block list with a one-shot codec. It is the
-// payload primitive of the distributed runtime's wire protocol; hot paths
-// should hold a BlockCodec instead.
-func WriteBlocks(w io.Writer, blocks []*Block) error {
-	return (&BlockCodec{}).WriteBlocks(w, blocks)
-}
-
-// ReadBlocks deserializes a block list written by WriteBlocks with a
-// one-shot codec.
-func ReadBlocks(r io.Reader) ([]*Block, error) {
-	return (&BlockCodec{}).ReadBlocks(r)
-}

@@ -2,7 +2,9 @@ package matrix
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -13,13 +15,13 @@ func TestBlockRoundTrip(t *testing.T) {
 		b := NewBlock(q)
 		b.FillRandom(rng)
 		var buf bytes.Buffer
-		if err := WriteBlock(&buf, b); err != nil {
+		if err := new(BlockCodec).WriteBlock(&buf, b); err != nil {
 			t.Fatal(err)
 		}
 		if buf.Len() != BlockWireSize(q) {
 			t.Errorf("q=%d: wire size %d, want %d", q, buf.Len(), BlockWireSize(q))
 		}
-		got, err := ReadBlock(&buf)
+		got, err := new(BlockCodec).ReadBlock(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +33,7 @@ func TestBlockRoundTrip(t *testing.T) {
 
 func TestReadBlockBadMagic(t *testing.T) {
 	buf := bytes.NewBuffer([]byte{0, 1, 2, 3, 4, 5, 6, 7})
-	if _, err := ReadBlock(buf); err == nil {
+	if _, err := new(BlockCodec).ReadBlock(buf); err == nil {
 		t.Fatal("expected error on bad magic")
 	}
 }
@@ -39,11 +41,11 @@ func TestReadBlockBadMagic(t *testing.T) {
 func TestReadBlockTruncated(t *testing.T) {
 	b := NewBlock(4)
 	var buf bytes.Buffer
-	if err := WriteBlock(&buf, b); err != nil {
+	if err := new(BlockCodec).WriteBlock(&buf, b); err != nil {
 		t.Fatal(err)
 	}
 	trunc := bytes.NewBuffer(buf.Bytes()[:buf.Len()-5])
-	if _, err := ReadBlock(trunc); err == nil {
+	if _, err := new(BlockCodec).ReadBlock(trunc); err == nil {
 		t.Fatal("expected error on truncated payload")
 	}
 }
@@ -57,10 +59,10 @@ func TestBlocksListRoundTrip(t *testing.T) {
 			blocks[i].FillRandom(rng)
 		}
 		var buf bytes.Buffer
-		if err := WriteBlocks(&buf, blocks); err != nil {
+		if err := new(BlockCodec).WriteBlocks(&buf, blocks); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadBlocks(&buf)
+		got, err := new(BlockCodec).ReadBlocks(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +82,49 @@ func TestBlocksListRoundTrip(t *testing.T) {
 
 func TestReadBlocksRejectsHugeCount(t *testing.T) {
 	buf := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadBlocks(buf); err == nil {
+	if _, err := new(BlockCodec).ReadBlocks(buf); err == nil {
 		t.Fatal("expected error on implausible block count")
+	}
+}
+
+// TestReadBlockHostileEdgeCostsWhatItShips feeds a block header claiming the
+// largest accepted edge (2 GiB of payload) followed by a few bytes: the
+// decode must fail having allocated in proportion to what arrived, not to the
+// claim.
+func TestReadBlockHostileEdgeCostsWhatItShips(t *testing.T) {
+	frame := make([]byte, 8+100)
+	binary.LittleEndian.PutUint32(frame[0:4], blockMagic)
+	binary.LittleEndian.PutUint32(frame[4:8], 1<<14)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := new(BlockCodec).ReadBlock(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated 2 GiB block accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("hostile block header allocated %d bytes", grew)
+	}
+}
+
+// TestBlockRoundTripColdLargeBlock covers the grow-as-bytes-arrive path a
+// cold codec takes for a payload above coldScratch.
+func TestBlockRoundTripColdLargeBlock(t *testing.T) {
+	b := NewBlock(400) // 1.28 MB of payload
+	b.FillRandom(rand.New(rand.NewSource(17)))
+	var buf bytes.Buffer
+	if err := new(BlockCodec).WriteBlock(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	var dec BlockCodec
+	for i := 0; i < 2; i++ { // cold, then warm through the same buffer
+		got, err := dec.ReadBlock(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !b.Equal(got, 0) {
+			t.Errorf("pass %d: round trip altered block", i)
+		}
 	}
 }
 
@@ -92,10 +135,10 @@ func TestBlockRoundTripProperty(t *testing.T) {
 		b := NewBlock(q)
 		b.FillRandom(rng)
 		var buf bytes.Buffer
-		if err := WriteBlock(&buf, b); err != nil {
+		if err := new(BlockCodec).WriteBlock(&buf, b); err != nil {
 			return false
 		}
-		got, err := ReadBlock(&buf)
+		got, err := new(BlockCodec).ReadBlock(&buf)
 		return err == nil && b.Equal(got, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // MasterOptions tunes the master's link handling.
@@ -62,7 +63,7 @@ type link struct {
 	kernel    string // block-update kernel the worker announced at registration
 	heartbeat time.Duration
 	enc, dec  matrix.BlockCodec
-	abBuf     []*matrix.Block // SendAB concatenation scratch, reused per send
+	abBuf     []*matrix.Block // install payload scratch, reused per send
 
 	// cancel asks the dispatch goroutine that owns this link to abandon its
 	// in-flight unit (set by CancelUnit from the k-of-n gate's goroutine, the
@@ -115,7 +116,7 @@ func DialWorkerContext(ctx context.Context, addr string, opts *MasterOptions) (*
 	l := &link{conn: conn, rd: bufio.NewReaderSize(conn, 1<<16), wr: bufio.NewWriterSize(conn, 1<<16)}
 	conn.SetReadDeadline(deadlineWithin(ctx, o.DialTimeout))
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
-	hello, err := ReadMsg(l.rd)
+	hello, err := ReadMsg(l.rd, nil)
 	stop()
 	if err != nil {
 		conn.Close()
@@ -146,7 +147,7 @@ func deadlineWithin(ctx context.Context, d time.Duration) time.Time {
 func (wc *WorkerConn) Name() string { return wc.l.name }
 
 // Kernel returns the block-update kernel the worker announced at
-// registration; empty for workers predating the kernel field.
+// registration.
 func (wc *WorkerConn) Kernel() string { return wc.l.kernel }
 
 // Alive reports whether the connection has not been closed or retired.
@@ -161,7 +162,7 @@ func (wc *WorkerConn) Ping() error {
 		return fmt.Errorf("net: ping worker %s: link retired", l.name)
 	}
 	l.conn.SetWriteDeadline(time.Now().Add(wc.opts.IOTimeout))
-	err := WriteMsg(l.wr, &Msg{Kind: MsgHeartbeat})
+	err := WriteMsg(l.wr, &Msg{Kind: MsgHeartbeat}, nil)
 	if err == nil {
 		err = l.wr.Flush()
 	}
@@ -186,7 +187,7 @@ func (wc *WorkerConn) DrainBacklog() error {
 	defer l.conn.SetReadDeadline(time.Time{})
 	for {
 		l.conn.SetReadDeadline(time.Now().Add(time.Millisecond))
-		hdr, err := l.rd.Peek(FrameHeaderLen)
+		hdr, err := l.rd.Peek(wire.HeaderLen)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -194,14 +195,14 @@ func (wc *WorkerConn) DrainBacklog() error {
 			}
 			return fmt.Errorf("net: drain worker %s: %w", l.name, err)
 		}
-		kind, n, err := parseFrameHeader(hdr)
+		kind, n, err := proto.ParseHeader(hdr)
 		if err != nil {
 			return fmt.Errorf("net: drain worker %s: %w", l.name, err)
 		}
-		if kind != MsgHeartbeat || n != 0 {
-			return fmt.Errorf("net: worker %s sent %s frame while idle", l.name, kind)
+		if k := MsgKind(kind); k != MsgHeartbeat || n != 0 {
+			return fmt.Errorf("net: worker %s sent %s frame while idle", l.name, k)
 		}
-		l.rd.Discard(FrameHeaderLen)
+		l.rd.Discard(wire.HeaderLen)
 	}
 }
 
@@ -218,7 +219,7 @@ const releaseDrain = time.Second
 func drainToEOF(l *link) {
 	l.conn.SetReadDeadline(time.Now().Add(releaseDrain))
 	for {
-		if _, err := ReadMsgCodec(l.rd, &l.dec); err != nil {
+		if _, err := ReadMsg(l.rd, &l.dec); err != nil {
 			return
 		}
 	}
@@ -233,7 +234,7 @@ func (wc *WorkerConn) Release() error {
 		return nil
 	}
 	l.conn.SetWriteDeadline(time.Now().Add(wc.opts.IOTimeout))
-	err := WriteMsg(l.wr, &Msg{Kind: MsgRelease})
+	err := WriteMsg(l.wr, &Msg{Kind: MsgRelease}, nil)
 	if err == nil {
 		err = l.wr.Flush()
 	}
@@ -425,7 +426,7 @@ func (m *Master) WorkerNames() []string {
 }
 
 // WorkerKernels returns the block-update kernel each registered worker
-// announced, in plan-index order ("" for workers predating the field).
+// announced, in plan-index order.
 func (m *Master) WorkerKernels() []string {
 	links := m.linkSnapshot()
 	kernels := make([]string, len(links))
@@ -525,7 +526,7 @@ func (m *Master) send(w int, op string, msg *Msg) error {
 	m.gate.Lock()
 	defer m.gate.Unlock()
 	l.conn.SetWriteDeadline(m.ioDeadline(m.opts.IOTimeout))
-	if err := WriteMsgCodec(l.wr, msg, &l.enc); err != nil {
+	if err := WriteMsg(l.wr, msg, &l.enc); err != nil {
 		return m.down(w, op, err)
 	}
 	if err := l.wr.Flush(); err != nil {
@@ -539,42 +540,19 @@ func (m *Master) SendC(w int, ch matrix.Chunk, blocks []*matrix.Block) error {
 	return m.send(w, "send chunk", &Msg{Kind: MsgChunk, Chunk: ch, Blocks: blocks})
 }
 
-// SendAB implements engine.Backend: by digest when the job's cache epoch
-// covers this worker, as a plain streamed frame otherwise.
+// SendAB implements engine.Backend: one install frame, digest-addressed with
+// resident panels omitted when the job's cache epoch covers this worker.
 func (m *Master) SendAB(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
-	if l := m.link(w); l != nil && l.cacheable {
-		if jp := m.jobPanels(); jp != nil {
-			return m.sendInstallD(w, l, jp, ch, k0, k1, a, b)
-		}
-	}
-	return m.SendABRaw(w, ch, k0, k1, a, b)
+	return m.sendInstall(w, ch, k0, k1, a, b, m.jobPanels())
 }
 
-// SendABRaw implements engine.RawSender: ship the installment as a plain
-// streamed frame even when a panel-cache epoch is open. Parity units carry
-// pre-encoded payloads under borrowed chunk coordinates; addressing them by
-// the job's panel digests would install encoded bytes under the real panels'
-// identities on both sides of the link. The A/B pointer lists are
-// concatenated into the link's scratch slice — safe to reuse per send because
-// the frame is fully staged on the wire before send returns, and each link is
-// driven by at most one dispatch goroutine at a time.
+// SendABRaw implements engine.RawSender: ship the installment with no panel
+// refs even when a panel-cache epoch is open. Parity units carry pre-encoded
+// payloads under borrowed chunk coordinates; addressing them by the job's
+// panel digests would install encoded bytes under the real panels' identities
+// on both sides of the link.
 func (m *Master) SendABRaw(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
-	l := m.link(w)
-	if l == nil {
-		return fmt.Errorf("net: send install to unknown worker %d: %w", w, engine.ErrWorkerDown)
-	}
-	st := m.stat(w)
-	q := 0
-	if len(a) > 0 {
-		q = a[0].Q
-	} else if len(b) > 0 {
-		q = b[0].Q
-	}
-	ws := int64(k1-k0) * int64(matrix.BlockWireSize(q))
-	st.aSent.Add(int64(ch.H) * ws)
-	st.bSent.Add(int64(ch.W) * ws)
-	l.abBuf = append(append(l.abBuf[:0], a...), b...)
-	return m.send(w, "send install", &Msg{Kind: MsgInstall, Chunk: ch, K0: k0, K1: k1, Blocks: l.abBuf})
+	return m.sendInstall(w, ch, k0, k1, a, b, nil)
 }
 
 // RecvC implements engine.Backend: flush the worker and wait for its result,
@@ -626,7 +604,7 @@ func (m *Master) recvC(w int, ch matrix.Chunk, promote bool) ([]*matrix.Block, e
 		} else {
 			l.conn.SetReadDeadline(m.ioDeadline(wait))
 		}
-		msg, err := ReadMsgCodec(l.rd, &l.dec)
+		msg, err := ReadMsg(l.rd, &l.dec)
 		if err != nil {
 			if sentCancel || l.cancel.Load() {
 				// The worker never answered the cancel (or the shortened
@@ -767,34 +745,22 @@ func (m *Master) runContext(ctx context.Context) (unbind func()) {
 // Shutdown tells every live worker to end its session and closes all
 // connections. It is idempotent: a second call (or one after Release, Close,
 // or Detach) finds no links and returns nil.
-func (m *Master) Shutdown() error {
-	var first error
-	for w, l := range m.linkSnapshot() {
-		if l.conn == nil {
-			continue
-		}
-		if err := m.send(w, "shutdown", &Msg{Kind: MsgShutdown}); err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		drainToEOF(l)
-	}
-	m.Close()
-	return first
-}
+func (m *Master) Shutdown() error { return m.endSessions(MsgShutdown) }
 
 // Release returns every live worker to its accept loop without killing the
 // daemon: each gets a release frame and its connection is closed; the worker
 // re-registers with the next master that dials. Idempotent, like Shutdown.
-func (m *Master) Release() error {
+func (m *Master) Release() error { return m.endSessions(MsgRelease) }
+
+// endSessions sends every live worker the session-ending frame, drains each
+// link to EOF, and closes all connections; the first send error is returned.
+func (m *Master) endSessions(kind MsgKind) error {
 	var first error
 	for w, l := range m.linkSnapshot() {
 		if l.conn == nil {
 			continue
 		}
-		if err := m.send(w, "release", &Msg{Kind: MsgRelease}); err != nil {
+		if err := m.send(w, kind.String(), &Msg{Kind: kind}); err != nil {
 			if first == nil {
 				first = err
 			}

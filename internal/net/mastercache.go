@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
 // This file is the master's half of the panel-cache protocol. A job that
 // wants transfer skipping calls BeginJob with its panel digests before Run;
 // the master then runs a have/need handshake with every cacheable worker,
-// ships installments as digest-addressed MsgInstallD frames with resident
+// ships installments as digest-addressed install frames with resident
 // panels omitted, and promotes a chunk's panels to resident when the chunk's
 // result lands (the worker, symmetrically, promotes at the flush that
 // produced that result — so the master's residency view never runs ahead of
@@ -54,7 +55,7 @@ type WorkerCacheStats struct {
 // column-panel of the job about to run, and each live worker is asked which
 // of them it already holds. Until EndJob, SendAB ships digest-addressed
 // installments that omit resident panels. A nil jp (or not calling BeginJob
-// at all) keeps the legacy full-transfer protocol.
+// at all) ships every install frame with empty ref lists: a full transfer.
 //
 // Call it before RunContext/Execute, never during: the handshake
 // uses the links' codecs, which the run's dispatch goroutines own. A worker
@@ -77,8 +78,8 @@ func (m *Master) BeginJob(jp *cache.JobPanels) {
 	}
 }
 
-// EndJob closes the epoch opened by BeginJob and reverts SendAB to the
-// legacy protocol. Residency bookkeeping on the links survives until the
+// EndJob closes the epoch opened by BeginJob and reverts SendAB to full
+// transfers. Residency bookkeeping on the links survives until the
 // next BeginJob so ResidentSnapshot can read it; it is never consulted for
 // skipping outside an epoch.
 func (m *Master) EndJob() {
@@ -112,7 +113,7 @@ func (m *Master) stat(w int) *linkStats {
 func handshakeLink(l *link, opts MasterOptions, st *linkStats, jp *cache.JobPanels) error {
 	ds := jp.Digests()
 	l.conn.SetWriteDeadline(time.Now().Add(opts.IOTimeout))
-	if err := WriteMsgCodec(l.wr, &Msg{Kind: MsgHave, Digests: ds}, &l.enc); err != nil {
+	if err := WriteMsg(l.wr, &Msg{Kind: MsgHave, Digests: ds}, &l.enc); err != nil {
 		return err
 	}
 	if err := l.wr.Flush(); err != nil {
@@ -124,7 +125,7 @@ func handshakeLink(l *link, opts MasterOptions, st *linkStats, jp *cache.JobPane
 	}
 	for {
 		l.conn.SetReadDeadline(time.Now().Add(wait))
-		msg, err := ReadMsgCodec(l.rd, &l.dec)
+		msg, err := ReadMsg(l.rd, &l.dec)
 		if err != nil {
 			return err
 		}
@@ -137,7 +138,7 @@ func handshakeLink(l *link, opts MasterOptions, st *linkStats, jp *cache.JobPane
 			}
 			st.cacheOn.Store(msg.CacheOn)
 			if !msg.CacheOn {
-				return nil // cacheless worker: stay on the legacy protocol
+				return nil // cacheless worker: its install frames carry no refs
 			}
 			l.cacheable = true
 			l.have = make(map[cache.Digest]bool, len(ds))
@@ -159,49 +160,66 @@ func handshakeLink(l *link, opts MasterOptions, st *linkStats, jp *cache.JobPane
 	}
 }
 
-// sendInstallD is SendAB's epoch path: frame the installment digest-addressed,
-// with the blocks of resident panels omitted. Wire block order is MsgInstall's
-// order minus the omissions — included A rows row-major, then B blocks k-major
-// with resident columns skipped per k — so the worker reconstructs the full
-// panel lists with one linear walk.
-func (m *Master) sendInstallD(w int, l *link, jp *cache.JobPanels, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block) error {
+// sendInstall frames one installment for worker w — the single framing path
+// of SendAB and SendABRaw. With jp set and the link inside a cache epoch the
+// frame is digest-addressed: one ref per chunk row and column, the blocks of
+// resident panels omitted. Otherwise the ref lists stay empty and every block
+// ships. Wire block order is the same either way — A rows row-major, then B
+// blocks k-major, minus the omissions — so the worker rebuilds the full panel
+// lists with one linear walk. The payload is gathered into the link's scratch
+// slice, safe to reuse per send because the frame is fully staged on the wire
+// before send returns and one dispatch goroutine drives a link at a time.
+func (m *Master) sendInstall(w int, ch matrix.Chunk, k0, k1 int, a, b []*matrix.Block, jp *cache.JobPanels) error {
+	l := m.link(w)
+	if l == nil {
+		return fmt.Errorf("net: send install to unknown worker %d: %w", w, engine.ErrWorkerDown)
+	}
+	msg := &Msg{Kind: MsgInstall, Chunk: ch, K0: k0, K1: k1}
+	aRefs, bRefs := make([]PanelRef, ch.H), make([]PanelRef, ch.W)
+	if jp != nil && l.cacheable {
+		for i := range aRefs {
+			dg := jp.ARows[ch.Row0+i]
+			aRefs[i] = PanelRef{D: dg, Resident: l.have[dg]}
+		}
+		for j := range bRefs {
+			dg := jp.BCols[ch.Col0+j]
+			bRefs[j] = PanelRef{D: dg, Resident: l.have[dg]}
+		}
+		msg.T, msg.ARefs, msg.BRefs = jp.T, aRefs, bRefs
+	}
 	st := m.stat(w)
 	d := k1 - k0
-	ws := int64(d) * int64(matrix.BlockWireSize(jp.Q))
-	msg := &Msg{Kind: MsgInstallD, Chunk: ch, K0: k0, K1: k1, T: jp.T}
-	msg.ARefs = make([]PanelRef, ch.H)
-	msg.BRefs = make([]PanelRef, ch.W)
+	q := 0
+	if len(a) > 0 {
+		q = a[0].Q
+	} else if len(b) > 0 {
+		q = b[0].Q
+	}
+	ws := int64(d) * int64(matrix.BlockWireSize(q))
 	blocks := l.abBuf[:0]
-	for i := 0; i < ch.H; i++ {
-		dg := jp.ARows[ch.Row0+i]
-		if l.have[dg] {
-			msg.ARefs[i] = PanelRef{D: dg, Resident: true}
+	for i, r := range aRefs {
+		if r.Resident {
 			st.aSaved.Add(ws)
 			continue
 		}
-		msg.ARefs[i] = PanelRef{D: dg}
-		blocks = append(blocks, a[i*d:(i+1)*d]...)
 		st.aSent.Add(ws)
+		blocks = append(blocks, a[i*d:(i+1)*d]...)
 	}
-	for j := 0; j < ch.W; j++ {
-		dg := jp.BCols[ch.Col0+j]
-		if l.have[dg] {
-			msg.BRefs[j] = PanelRef{D: dg, Resident: true}
+	for _, r := range bRefs {
+		if r.Resident {
 			st.bSaved.Add(ws)
 		} else {
-			msg.BRefs[j] = PanelRef{D: dg}
 			st.bSent.Add(ws)
 		}
 	}
 	for k := 0; k < d; k++ {
-		for j := 0; j < ch.W; j++ {
-			if !msg.BRefs[j].Resident {
+		for j, r := range bRefs {
+			if !r.Resident {
 				blocks = append(blocks, b[k*ch.W+j])
 			}
 		}
 	}
-	l.abBuf = blocks
-	msg.Blocks = blocks
+	l.abBuf, msg.Blocks = blocks, blocks
 	return m.send(w, "send install", msg)
 }
 

@@ -12,19 +12,22 @@
 // applies them, so the loopback path is a strict correctness oracle:
 // distributed C is bitwise-equal to in-process C.
 //
-// The wire format is length-prefixed binary frames whose block payloads
+// The wire format is length-prefixed binary frames: internal/wire owns the
+// header, the payload cap and the bounded field primitives, this file
+// describes each frame kind's fields once (Msg.fields), and block payloads
 // reuse the framed float64 codec of internal/matrix (gob costs ~3× on large
-// numeric slices, and the runtime moves thousands of 51 KB blocks).
+// numeric slices, and the runtime moves thousands of 51 KB blocks). Peers of
+// another protocol version are refused at their first frame header.
 package net
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/matrix"
+	"repro/internal/wire"
 )
 
 // MsgKind labels protocol frames.
@@ -33,7 +36,7 @@ type MsgKind uint8
 const (
 	MsgHello     MsgKind = iota + 1 // worker → master: registration
 	MsgChunk                        // master → worker: C chunk
-	MsgInstall                      // master → worker: A/B panels
+	MsgInstall                      // master → worker: A/B panels, resident ones omitted
 	MsgFlush                        // master → worker: return the chunk
 	MsgResult                       // worker → master: finished chunk
 	MsgHeartbeat                    // bidirectional: liveness beacon / fleet keepalive
@@ -41,7 +44,6 @@ const (
 	MsgRelease                      // master → worker: end the session, keep serving
 	MsgHave                         // master → worker: job panel digests — which are resident?
 	MsgHaveAck                      // worker → master: per-digest presence answer
-	MsgInstallD                     // master → worker: digest-addressed A/B panels, resident ones omitted
 	MsgCancel                       // master → worker: abandon the held chunk; worker → master: dropped-it ack
 )
 
@@ -67,8 +69,6 @@ func (k MsgKind) String() string {
 		return "have"
 	case MsgHaveAck:
 		return "have-ack"
-	case MsgInstallD:
-		return "install-digest"
 	case MsgCancel:
 		return "cancel"
 	default:
@@ -76,7 +76,7 @@ func (k MsgKind) String() string {
 	}
 }
 
-// PanelRef names one panel of an InstallD frame: the digest of the full A
+// PanelRef names one panel of an install frame: the digest of the full A
 // row-panel (or B column-panel) the installment's blocks belong to, and
 // whether the worker must serve those blocks from its cache (Resident) or
 // from the frame's payload.
@@ -92,441 +92,95 @@ type Msg struct {
 	Name      string        // Hello: worker name
 	Kernel    string        // Hello: worker's selected block-update kernel
 	Heartbeat time.Duration // Hello: interval at which the worker will beat
-	Chunk     matrix.Chunk  // Chunk / Install / InstallD / Flush / Result
-	K0, K1    int           // Install / InstallD: inner panel range [K0, K1)
-	T         int           // InstallD: full inner dimension (panel depth)
+	Chunk     matrix.Chunk  // Chunk / Install / Flush / Result / Cancel
+	K0, K1    int           // Install: inner panel range [K0, K1)
+	T         int           // Install: full inner dimension (panel depth) when refs are present
 	Blocks    []*matrix.Block
 	Digests   []cache.Digest // Have: the job's distinct panel digests
 	HaveBits  []bool         // HaveAck: per-queried-digest presence
 	CacheOn   bool           // HaveAck: worker runs a panel cache at all
-	ARefs     []PanelRef     // InstallD: one per chunk row, in row order
-	BRefs     []PanelRef     // InstallD: one per chunk column, in column order
+	// Install: one ref per chunk row (ARefs) and column (BRefs), in order.
+	// Both empty means every block is in the payload and nothing is cached.
+	ARefs, BRefs []PanelRef
 }
 
 const (
-	frameMagic      = 0x4d4d5031 // "MMP1"
-	maxFramePayload = 1 << 30    // 1 GiB: far above any real installment
-	maxNameLen      = 1 << 10
-
-	// FrameHeaderLen is the fixed size of every frame's magic+kind+length
-	// prefix. Peek-based consumers (WorkerConn.DrainBacklog) read whole
-	// header-only frames by this length without consuming partial ones.
-	FrameHeaderLen = 9
+	maxNameLen = 1 << 10
+	// maxPanelRefs bounds digest lists and panel-ref lists, far above any
+	// real job (a ref per block matrix row/column).
+	maxPanelRefs = 1 << 22
 )
 
-// PutFrameHeader encodes the magic+kind+u32-length frame prefix every
-// protocol in this codebase shares (the worker protocol here, the client
-// protocol of internal/serve) — the single owner of the header layout.
-func PutFrameHeader(hdr []byte, magic uint32, kind uint8, payloadLen int) {
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
-	hdr[4] = kind
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(payloadLen))
-}
+// proto frames the worker protocol: "MMP" version 2, payloads up to 1 GiB —
+// far above any real installment.
+var proto = wire.Proto{Name: "net", Magic: 0x4d4d5032, Max: 1 << 30}
 
-// ParseFrameHeader decodes the shared frame prefix, rejecting a foreign or
-// corrupt magic.
-func ParseFrameHeader(hdr []byte, magic uint32) (kind uint8, payloadLen uint32, err error) {
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != magic {
-		return 0, 0, fmt.Errorf("net: bad frame magic %#x", m)
-	}
-	return hdr[4], binary.LittleEndian.Uint32(hdr[5:9]), nil
-}
-
-// putFrameHeader / parseFrameHeader bind the shared layout to this package's
-// magic and message kinds; the stream reader and the idle-connection drain
-// both go through parseFrameHeader.
-func putFrameHeader(hdr []byte, kind MsgKind, payloadLen int) {
-	PutFrameHeader(hdr, frameMagic, uint8(kind), payloadLen)
-}
-
-func parseFrameHeader(hdr []byte) (MsgKind, uint32, error) {
-	kind, n, err := ParseFrameHeader(hdr, frameMagic)
-	return MsgKind(kind), n, err
-}
-
-// payloadLen computes a frame's exact payload size from its fields, so
-// WriteMsg can emit the length prefix first and then stream the payload —
-// block data is written once, never staged in an intermediate buffer.
-func payloadLen(m *Msg) (int, error) {
-	blocksLen := func() int {
-		n := 4 // count prefix
-		for _, b := range m.Blocks {
-			n += matrix.BlockWireSize(b.Q)
-		}
-		return n
-	}
+// fields is the one description of every frame kind's layout: sizing,
+// encoding and decoding are all this walk.
+func (m *Msg) fields(c *wire.Codec) {
 	switch m.Kind {
 	case MsgHello:
-		if len(m.Name) > maxNameLen {
-			return 0, fmt.Errorf("net: worker name %d bytes long", len(m.Name))
-		}
-		if len(m.Kernel) > maxNameLen {
-			return 0, fmt.Errorf("net: kernel name %d bytes long", len(m.Kernel))
-		}
-		return 6 + len(m.Name) + 2 + len(m.Kernel), nil
+		c.I64((*int64)(&m.Heartbeat))
+		c.String(&m.Name, maxNameLen)
+		c.String(&m.Kernel, maxNameLen)
 	case MsgChunk, MsgResult:
-		return 16 + blocksLen(), nil
+		chunkFields(c, &m.Chunk)
+		c.Blocks(&m.Blocks)
 	case MsgInstall:
-		return 16 + 8 + blocksLen(), nil
+		chunkFields(c, &m.Chunk)
+		c.I32(&m.K0)
+		c.I32(&m.K1)
+		c.I32(&m.T)
+		wire.List(c, &m.ARefs, maxPanelRefs, panelRefFields)
+		wire.List(c, &m.BRefs, maxPanelRefs, panelRefFields)
+		c.Blocks(&m.Blocks)
 	case MsgFlush, MsgCancel:
-		return 16, nil
-	case MsgHeartbeat, MsgShutdown, MsgRelease:
-		return 0, nil
-	case MsgHave:
-		if len(m.Digests) > maxPanelRefs {
-			return 0, fmt.Errorf("net: have frame with %d digests", len(m.Digests))
-		}
-		return 4 + cache.DigestLen*len(m.Digests), nil
-	case MsgHaveAck:
-		if len(m.HaveBits) > maxPanelRefs {
-			return 0, fmt.Errorf("net: have-ack frame with %d answers", len(m.HaveBits))
-		}
-		return 1 + 4 + len(m.HaveBits), nil
-	case MsgInstallD:
-		if len(m.ARefs)+len(m.BRefs) > maxPanelRefs {
-			return 0, fmt.Errorf("net: install-digest frame with %d refs", len(m.ARefs)+len(m.BRefs))
-		}
-		return 16 + 8 + 4 + 4 + panelRefLen*len(m.ARefs) + 4 + panelRefLen*len(m.BRefs) + blocksLen(), nil
-	default:
-		return 0, fmt.Errorf("net: cannot encode message kind %d", m.Kind)
-	}
-}
-
-// panelRefLen is the wire size of one PanelRef: digest + resident flag.
-const panelRefLen = cache.DigestLen + 1
-
-// maxPanelRefs bounds digest lists and panel-ref lists, far above any real
-// job (a ref per block matrix row/column).
-const maxPanelRefs = 1 << 22
-
-// putPanelRefs writes a count-prefixed PanelRef list.
-func putPanelRefs(w io.Writer, refs []PanelRef) error {
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(refs)))
-	if _, err := w.Write(cnt[:]); err != nil {
-		return fmt.Errorf("net: write panel refs: %w", err)
-	}
-	var buf [panelRefLen]byte
-	for _, r := range refs {
-		copy(buf[:cache.DigestLen], r.D[:])
-		buf[cache.DigestLen] = 0
-		if r.Resident {
-			buf[cache.DigestLen] = 1
-		}
-		if _, err := w.Write(buf[:]); err != nil {
-			return fmt.Errorf("net: write panel refs: %w", err)
-		}
-	}
-	return nil
-}
-
-// getPanelRefs reads a count-prefixed PanelRef list.
-func getPanelRefs(r io.Reader) ([]PanelRef, error) {
-	var cnt [4]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(cnt[:]))
-	if n > maxPanelRefs {
-		return nil, fmt.Errorf("net: panel ref list of %d entries", n)
-	}
-	refs := make([]PanelRef, n)
-	var buf [panelRefLen]byte
-	for i := range refs {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
-		}
-		copy(refs[i].D[:], buf[:cache.DigestLen])
-		refs[i].Resident = buf[cache.DigestLen] != 0
-	}
-	return refs, nil
-}
-
-// WriteMsg writes one length-prefixed frame to w with a one-shot codec.
-// Long-lived connections should hold a matrix.BlockCodec and use
-// WriteMsgCodec so block payloads are staged through one reused buffer.
-func WriteMsg(w io.Writer, m *Msg) error {
-	return WriteMsgCodec(w, m, nil)
-}
-
-// WriteMsgCodec writes one length-prefixed frame to w, staging block
-// payloads through bc (nil falls back to a one-shot codec).
-func WriteMsgCodec(w io.Writer, m *Msg, bc *matrix.BlockCodec) error {
-	if bc == nil {
-		bc = &matrix.BlockCodec{}
-	}
-	n, err := payloadLen(m)
-	if err != nil {
-		return err
-	}
-	var hdr [FrameHeaderLen]byte
-	putFrameHeader(hdr[:], m.Kind, n)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("net: write frame header: %w", err)
-	}
-	switch m.Kind {
-	case MsgHello:
-		var hello [6]byte
-		binary.LittleEndian.PutUint32(hello[0:4], uint32(m.Heartbeat/time.Millisecond))
-		binary.LittleEndian.PutUint16(hello[4:6], uint16(len(m.Name)))
-		if _, err := w.Write(hello[:]); err != nil {
-			return fmt.Errorf("net: write hello: %w", err)
-		}
-		if _, err := io.WriteString(w, m.Name); err != nil {
-			return fmt.Errorf("net: write hello name: %w", err)
-		}
-		var kl [2]byte
-		binary.LittleEndian.PutUint16(kl[:], uint16(len(m.Kernel)))
-		if _, err := w.Write(kl[:]); err != nil {
-			return fmt.Errorf("net: write hello kernel: %w", err)
-		}
-		if _, err := io.WriteString(w, m.Kernel); err != nil {
-			return fmt.Errorf("net: write hello kernel: %w", err)
-		}
-	case MsgChunk, MsgResult:
-		if err := putChunk(w, m.Chunk); err != nil {
-			return err
-		}
-		if err := bc.WriteBlocks(w, m.Blocks); err != nil {
-			return err
-		}
-	case MsgInstall:
-		if err := putChunk(w, m.Chunk); err != nil {
-			return err
-		}
-		var kr [8]byte
-		binary.LittleEndian.PutUint32(kr[0:4], uint32(m.K0))
-		binary.LittleEndian.PutUint32(kr[4:8], uint32(m.K1))
-		if _, err := w.Write(kr[:]); err != nil {
-			return fmt.Errorf("net: write panel range: %w", err)
-		}
-		if err := bc.WriteBlocks(w, m.Blocks); err != nil {
-			return err
-		}
-	case MsgFlush, MsgCancel:
-		if err := putChunk(w, m.Chunk); err != nil {
-			return err
-		}
+		chunkFields(c, &m.Chunk)
 	case MsgHeartbeat, MsgShutdown, MsgRelease:
 		// empty payload
 	case MsgHave:
-		var cnt [4]byte
-		binary.LittleEndian.PutUint32(cnt[:], uint32(len(m.Digests)))
-		if _, err := w.Write(cnt[:]); err != nil {
-			return fmt.Errorf("net: write have: %w", err)
-		}
-		for _, d := range m.Digests {
-			if _, err := w.Write(d[:]); err != nil {
-				return fmt.Errorf("net: write have: %w", err)
-			}
-		}
+		c.Digests(&m.Digests, maxPanelRefs)
 	case MsgHaveAck:
-		ack := make([]byte, 1+4+len(m.HaveBits))
-		if m.CacheOn {
-			ack[0] = 1
-		}
-		binary.LittleEndian.PutUint32(ack[1:5], uint32(len(m.HaveBits)))
-		for i, h := range m.HaveBits {
-			if h {
-				ack[5+i] = 1
-			}
-		}
-		if _, err := w.Write(ack); err != nil {
-			return fmt.Errorf("net: write have-ack: %w", err)
-		}
-	case MsgInstallD:
-		if err := putChunk(w, m.Chunk); err != nil {
-			return err
-		}
-		var kr [12]byte
-		binary.LittleEndian.PutUint32(kr[0:4], uint32(m.K0))
-		binary.LittleEndian.PutUint32(kr[4:8], uint32(m.K1))
-		binary.LittleEndian.PutUint32(kr[8:12], uint32(m.T))
-		if _, err := w.Write(kr[:]); err != nil {
-			return fmt.Errorf("net: write panel range: %w", err)
-		}
-		if err := putPanelRefs(w, m.ARefs); err != nil {
-			return err
-		}
-		if err := putPanelRefs(w, m.BRefs); err != nil {
-			return err
-		}
-		if err := bc.WriteBlocks(w, m.Blocks); err != nil {
-			return err
-		}
+		c.Bool(&m.CacheOn)
+		wire.List(c, &m.HaveBits, maxPanelRefs, (*wire.Codec).Bool)
+	default:
+		c.Fail(fmt.Errorf("unknown message kind %d", m.Kind))
 	}
-	return nil
 }
 
-// ReadMsg reads one frame from r. The payload is decoded straight off the
-// stream through an io.LimitedReader rather than staged in a frame-sized
-// buffer: allocation tracks bytes that actually arrive, so a hostile 9-byte
-// header cannot reserve a gigabyte, and large block frames cost one copy,
-// mirroring the write side.
-func ReadMsg(r io.Reader) (*Msg, error) {
-	return ReadMsgCodec(r, nil)
+func chunkFields(c *wire.Codec, ch *matrix.Chunk) {
+	c.I32(&ch.Row0)
+	c.I32(&ch.Col0)
+	c.I32(&ch.H)
+	c.I32(&ch.W)
 }
 
-// ReadMsgCodec reads one frame from r, decoding block payloads through bc —
-// with a pooled codec, a connection's receive loop stops allocating once
-// warm (nil falls back to a one-shot codec).
-func ReadMsgCodec(r io.Reader, bc *matrix.BlockCodec) (*Msg, error) {
-	if bc == nil {
-		bc = &matrix.BlockCodec{}
-	}
-	var hdr [FrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("net: read frame header: %w", err)
-	}
-	kind, n, err := parseFrameHeader(hdr[:])
+func panelRefFields(c *wire.Codec, r *PanelRef) {
+	c.Raw(r.D[:])
+	c.Bool(&r.Resident)
+}
+
+// WriteMsg writes one length-prefixed frame to w, staging block payloads
+// through bc. Long-lived connections hold a matrix.BlockCodec per direction
+// so payloads reuse one buffer; nil falls back to a one-shot codec.
+func WriteMsg(w io.Writer, m *Msg, bc *matrix.BlockCodec) error {
+	return proto.Write(w, uint8(m.Kind), bc, m.fields)
+}
+
+// ReadMsg reads one frame from r, decoding block payloads through bc — with
+// a pooled codec, a connection's receive loop stops allocating once warm
+// (nil falls back to a one-shot codec). The payload is decoded straight off
+// the stream: allocation tracks bytes that actually arrive, and large block
+// frames cost one copy, mirroring the write side.
+func ReadMsg(r io.Reader, bc *matrix.BlockCodec) (*Msg, error) {
+	kind, c, err := proto.Begin(r, bc)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxFramePayload {
-		return nil, fmt.Errorf("net: implausible frame payload %d bytes", n)
-	}
-	buf := &io.LimitedReader{R: r, N: int64(n)}
-
-	m := &Msg{Kind: kind}
-	switch kind {
-	case MsgHello:
-		var hdr [6]byte
-		if _, err = io.ReadFull(buf, hdr[:]); err != nil {
-			break
-		}
-		m.Heartbeat = time.Duration(binary.LittleEndian.Uint32(hdr[0:4])) * time.Millisecond
-		nameLen := int(binary.LittleEndian.Uint16(hdr[4:6]))
-		if nameLen > maxNameLen {
-			return nil, fmt.Errorf("net: hello name %d bytes long", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err = io.ReadFull(buf, name); err != nil {
-			break
-		}
-		m.Name = string(name)
-		// The kernel field is a later addition: a hello that ends here came
-		// from a pre-kernel worker, so leave Kernel empty rather than erroring.
-		if buf.N > 0 {
-			var kl [2]byte
-			if _, err = io.ReadFull(buf, kl[:]); err != nil {
-				break
-			}
-			kernelLen := int(binary.LittleEndian.Uint16(kl[:]))
-			if kernelLen > maxNameLen {
-				return nil, fmt.Errorf("net: hello kernel name %d bytes long", kernelLen)
-			}
-			kn := make([]byte, kernelLen)
-			if _, err = io.ReadFull(buf, kn); err != nil {
-				break
-			}
-			m.Kernel = string(kn)
-		}
-	case MsgChunk, MsgResult:
-		if m.Chunk, err = getChunk(buf); err != nil {
-			break
-		}
-		m.Blocks, err = bc.ReadBlocks(buf)
-	case MsgInstall:
-		if m.Chunk, err = getChunk(buf); err != nil {
-			break
-		}
-		var kr [8]byte
-		if _, err = io.ReadFull(buf, kr[:]); err != nil {
-			break
-		}
-		m.K0 = int(int32(binary.LittleEndian.Uint32(kr[0:4])))
-		m.K1 = int(int32(binary.LittleEndian.Uint32(kr[4:8])))
-		m.Blocks, err = bc.ReadBlocks(buf)
-	case MsgFlush, MsgCancel:
-		m.Chunk, err = getChunk(buf)
-	case MsgHeartbeat, MsgShutdown, MsgRelease:
-		// empty payload
-	case MsgHave:
-		var cnt [4]byte
-		if _, err = io.ReadFull(buf, cnt[:]); err != nil {
-			break
-		}
-		nd := int(binary.LittleEndian.Uint32(cnt[:]))
-		if nd > maxPanelRefs {
-			return nil, fmt.Errorf("net: have frame with %d digests", nd)
-		}
-		m.Digests = make([]cache.Digest, nd)
-		for i := range m.Digests {
-			if _, err = io.ReadFull(buf, m.Digests[i][:]); err != nil {
-				break
-			}
-		}
-	case MsgHaveAck:
-		var ah [5]byte
-		if _, err = io.ReadFull(buf, ah[:]); err != nil {
-			break
-		}
-		m.CacheOn = ah[0] != 0
-		nb := int(binary.LittleEndian.Uint32(ah[1:5]))
-		if nb > maxPanelRefs {
-			return nil, fmt.Errorf("net: have-ack frame with %d answers", nb)
-		}
-		bits := make([]byte, nb)
-		if _, err = io.ReadFull(buf, bits); err != nil {
-			break
-		}
-		m.HaveBits = make([]bool, nb)
-		for i, b := range bits {
-			m.HaveBits[i] = b != 0
-		}
-	case MsgInstallD:
-		if m.Chunk, err = getChunk(buf); err != nil {
-			break
-		}
-		var kr [12]byte
-		if _, err = io.ReadFull(buf, kr[:]); err != nil {
-			break
-		}
-		m.K0 = int(int32(binary.LittleEndian.Uint32(kr[0:4])))
-		m.K1 = int(int32(binary.LittleEndian.Uint32(kr[4:8])))
-		m.T = int(int32(binary.LittleEndian.Uint32(kr[8:12])))
-		if m.ARefs, err = getPanelRefs(buf); err != nil {
-			break
-		}
-		if m.BRefs, err = getPanelRefs(buf); err != nil {
-			break
-		}
-		m.Blocks, err = bc.ReadBlocks(buf)
-	default:
-		return nil, fmt.Errorf("net: unknown message kind %d", kind)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("net: decode %s: %w", kind, err)
-	}
-	if buf.N != 0 {
-		// Erroring without consuming the remainder is fine: framing is
-		// unrecoverable at this point and the session ends.
-		return nil, fmt.Errorf("net: %s frame has %d trailing bytes", kind, buf.N)
+	m := &Msg{Kind: MsgKind(kind)}
+	m.fields(c)
+	if err := c.End(); err != nil {
+		return nil, fmt.Errorf("net: decode %s: %w", m.Kind, err)
 	}
 	return m, nil
-}
-
-func putChunk(w io.Writer, ch matrix.Chunk) error {
-	var b [16]byte
-	binary.LittleEndian.PutUint32(b[0:4], uint32(ch.Row0))
-	binary.LittleEndian.PutUint32(b[4:8], uint32(ch.Col0))
-	binary.LittleEndian.PutUint32(b[8:12], uint32(ch.H))
-	binary.LittleEndian.PutUint32(b[12:16], uint32(ch.W))
-	if _, err := w.Write(b[:]); err != nil {
-		return fmt.Errorf("net: write chunk coords: %w", err)
-	}
-	return nil
-}
-
-func getChunk(r io.Reader) (matrix.Chunk, error) {
-	var b [16]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return matrix.Chunk{}, err
-	}
-	return matrix.Chunk{
-		Row0: int(int32(binary.LittleEndian.Uint32(b[0:4]))),
-		Col0: int(int32(binary.LittleEndian.Uint32(b[4:8]))),
-		H:    int(int32(binary.LittleEndian.Uint32(b[8:12]))),
-		W:    int(int32(binary.LittleEndian.Uint32(b[12:16]))),
-	}, nil
 }

@@ -154,7 +154,7 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 	write := func(m *Msg) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		if err := WriteMsgCodec(wr, m, &enc); err != nil {
+		if err := WriteMsg(wr, m, &enc); err != nil {
 			return err
 		}
 		return wr.Flush()
@@ -180,7 +180,7 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 				if !wmu.TryLock() {
 					continue
 				}
-				err := WriteMsg(wr, &Msg{Kind: MsgHeartbeat})
+				err := WriteMsg(wr, &Msg{Kind: MsgHeartbeat}, nil)
 				if err == nil {
 					err = wr.Flush()
 				}
@@ -227,7 +227,7 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			} else {
 				conn.SetReadDeadline(time.Time{})
 			}
-			msg, err := ReadMsgCodec(rd, &dec)
+			msg, err := ReadMsg(rd, &dec)
 			if err != nil && busy.Load() {
 				var ne net.Error
 				if errors.As(err, &ne) && ne.Timeout() {
@@ -293,16 +293,17 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			if msg.Chunk != cur {
 				return fmt.Errorf("net: worker %s: inputs for %v while holding %v", name, msg.Chunk, cur)
 			}
-			d := msg.K1 - msg.K0
-			if d <= 0 || len(msg.Blocks) != d*(cur.H+cur.W) {
-				return fmt.Errorf("net: worker %s: install payload %d blocks for %v depth %d", name, len(msg.Blocks), cur, d)
-			}
-			am, bm := msg.Blocks[:cur.H*d], msg.Blocks[cur.H*d:]
-			if err := engine.ApplyInstallmentParallel(cur, blocks, am, bm, d, opts.Procs); err != nil {
+			am, bm, spent, err := assembleInstall(msg, cur, opts.Cache, pending)
+			if err != nil {
 				return fmt.Errorf("net: worker %s: %w", name, err)
 			}
-			// The panels are consumed; recycle them for the next decode.
-			pool.PutAll(msg.Blocks)
+			if err := engine.ApplyInstallmentParallel(cur, blocks, am, bm, msg.K1-msg.K0, opts.Procs); err != nil {
+				return fmt.Errorf("net: worker %s: %w", name, err)
+			}
+			// Recycle the consumed wire blocks for the next decode — all but
+			// the ones pending absorbed (promised to the cache); resident
+			// panels never left the cache.
+			pool.PutAll(spent)
 			installs++
 			if opts.CrashAfterInstalls > 0 && installs >= opts.CrashAfterInstalls {
 				conn.Close() // simulate a killed process: vanish mid-protocol
@@ -381,7 +382,7 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			// A master opens a panel-cache epoch: answer which of the job's
 			// panels are resident, pinning them for the job's duration. A
 			// cacheless worker answers all-absent with CacheOn=false so the
-			// master stays on the full-transfer protocol.
+			// master sends it install frames without refs.
 			discardPending()
 			ack := &Msg{Kind: MsgHaveAck}
 			if opts.Cache != nil {
@@ -392,36 +393,6 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			}
 			if err := write(ack); err != nil {
 				return fmt.Errorf("net: worker %s: send have-ack: %w", name, err)
-			}
-		case MsgInstallD:
-			if blocks == nil {
-				return fmt.Errorf("net: worker %s: received inputs with no chunk", name)
-			}
-			if msg.Chunk != cur {
-				return fmt.Errorf("net: worker %s: inputs for %v while holding %v", name, msg.Chunk, cur)
-			}
-			am, bm, extras, err := assembleInstallD(msg, cur, opts.Cache, pending)
-			if err != nil {
-				return fmt.Errorf("net: worker %s: %w", name, err)
-			}
-			if err := engine.ApplyInstallmentParallel(cur, blocks, am, bm, msg.K1-msg.K0, opts.Procs); err != nil {
-				return fmt.Errorf("net: worker %s: %w", name, err)
-			}
-			// Only the wire blocks pending did not absorb are recyclable:
-			// absorbed ones are promised to the cache, resident ones belong
-			// to it already.
-			pool.PutAll(extras)
-			installs++
-			if opts.CrashAfterInstalls > 0 && installs >= opts.CrashAfterInstalls {
-				conn.Close() // simulate a killed process: vanish mid-protocol
-				return ErrCrashInjected
-			}
-			if opts.StallAfterInstalls > 0 && installs == opts.StallAfterInstalls {
-				stall := opts.StallFor
-				if stall <= 0 {
-					stall = 30 * time.Second
-				}
-				time.Sleep(stall)
 			}
 		case MsgHeartbeat:
 			// Master keepalive for a pooled idle session (a fleet pinging

@@ -29,21 +29,28 @@ func (p *pendingPanel) compact() []*matrix.Block {
 	return out
 }
 
-// assembleInstallD reconstructs a digest-addressed installment's full A/B
-// panel lists: resident panels come from the cache, the rest from the
-// frame's payload — whose block order is MsgInstall's order minus the
-// omissions (included A rows row-major, then B blocks k-major with resident
-// columns skipped per k). Wire blocks are absorbed into pending as they
-// pass; the returned extras are the ones pending had no vacancy for
-// (duplicate-digest contributions), which the caller recycles after the
-// installment is applied.
-func assembleInstallD(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending map[cache.Digest]*pendingPanel) (am, bm, extras []*matrix.Block, err error) {
+// assembleInstall reconstructs an installment's full A/B panel lists.
+// Without refs every block is in the frame's payload — A rows row-major, then
+// B blocks k-major — nothing is cached, and all of them are spent once
+// applied. With refs, resident panels come from the cache and the rest from
+// the payload, whose order is the same minus the omissions (resident A rows
+// dropped, resident B columns skipped per k). Wire blocks are absorbed into
+// pending as they pass; the returned spent are the ones pending had no
+// vacancy for (duplicate-digest contributions), which the caller recycles
+// after the installment is applied.
+func assembleInstall(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending map[cache.Digest]*pendingPanel) (am, bm, spent []*matrix.Block, err error) {
 	d := msg.K1 - msg.K0
+	if len(msg.ARefs)+len(msg.BRefs) == 0 {
+		if d <= 0 || len(msg.Blocks) != d*(cur.H+cur.W) {
+			return nil, nil, nil, fmt.Errorf("install payload %d blocks for %v depth %d", len(msg.Blocks), cur, d)
+		}
+		return msg.Blocks[:cur.H*d], msg.Blocks[cur.H*d:], msg.Blocks, nil
+	}
 	if d <= 0 || msg.K0 < 0 || msg.K1 > msg.T || msg.T > maxPanelRefs {
-		return nil, nil, nil, fmt.Errorf("install-digest range [%d,%d) of depth %d", msg.K0, msg.K1, msg.T)
+		return nil, nil, nil, fmt.Errorf("install range [%d,%d) of depth %d", msg.K0, msg.K1, msg.T)
 	}
 	if len(msg.ARefs) != cur.H || len(msg.BRefs) != cur.W {
-		return nil, nil, nil, fmt.Errorf("install-digest refs %d×%d for chunk %v", len(msg.ARefs), len(msg.BRefs), cur)
+		return nil, nil, nil, fmt.Errorf("install refs %d×%d for chunk %v", len(msg.ARefs), len(msg.BRefs), cur)
 	}
 	wired := 0
 	for _, r := range msg.ARefs {
@@ -57,12 +64,12 @@ func assembleInstallD(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending 
 		}
 	}
 	if len(msg.Blocks) != wired {
-		return nil, nil, nil, fmt.Errorf("install-digest payload %d blocks, expected %d", len(msg.Blocks), wired)
+		return nil, nil, nil, fmt.Errorf("install payload %d blocks, expected %d", len(msg.Blocks), wired)
 	}
 
 	resident := func(dg cache.Digest) ([]*matrix.Block, error) {
 		if pc == nil {
-			return nil, fmt.Errorf("install-digest references resident panel %v but caching is off", dg)
+			return nil, fmt.Errorf("install references resident panel %v but caching is off", dg)
 		}
 		pb := pc.Get(dg)
 		if len(pb) != msg.T {
@@ -70,13 +77,13 @@ func assembleInstallD(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending 
 			// promised panels are pinned, so absence is a protocol breach,
 			// not an eviction race. Failing the session is the safe answer:
 			// the master fails over and replays the chunk elsewhere.
-			return nil, fmt.Errorf("install-digest references panel %v: not resident", dg)
+			return nil, fmt.Errorf("install references panel %v: not resident", dg)
 		}
 		return pb, nil
 	}
 	absorb := func(dg cache.Digest, pos int, b *matrix.Block) {
 		if pc == nil {
-			extras = append(extras, b)
+			spent = append(spent, b)
 			return
 		}
 		ent := pending[dg]
@@ -85,7 +92,7 @@ func assembleInstallD(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending 
 			pending[dg] = ent
 		}
 		if len(ent.blocks) != msg.T || ent.blocks[pos] != nil {
-			extras = append(extras, b)
+			spent = append(spent, b)
 			return
 		}
 		ent.blocks[pos] = b
@@ -133,5 +140,5 @@ func assembleInstallD(msg *Msg, cur matrix.Chunk, pc *cache.PanelCache, pending 
 			absorb(msg.BRefs[j].D, msg.K0+k, b)
 		}
 	}
-	return am, bm, extras, nil
+	return am, bm, spent, nil
 }

@@ -134,7 +134,7 @@ func TestJoinFleetOverWire(t *testing.T) {
 
 	inst := sched.Instance{R: 6, S: 9, T: 4}
 	a, b, c, want := testMatrices(t, inst, 4, 72)
-	out, _, err := SubmitProductContext(ctx, ln.Addr().String(), a, b, c)
+	out, _, err := SubmitProduct(ctx, ln.Addr().String(), a, b, c, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // JobClass is a submitted product's SLO class. It rides the client protocol
 // (matmul.WithClass → submit frame → daemon), orders dispatch under the
 // priority queue policy, and partitions admission control and the
-// mm_serve_queue_* metrics. The zero value is ClassStandard, so every
-// pre-class client and frame keeps its old behavior.
+// mm_serve_queue_* metrics. The zero value is ClassStandard, so a submission
+// that declares no class is a standard one.
 type JobClass uint8
 
 const (

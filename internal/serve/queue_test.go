@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"log/slog"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -487,50 +485,10 @@ func TestAdmissionRejectsAtSubmit(t *testing.T) {
 	}
 }
 
-// TestSubmitClassFrameRoundTrip pins the cSubmitC wire format: dims, class
-// byte, optional digest lists and blocks all survive encode/decode, with
-// empty digest lists meaning "no digests" unambiguously.
-func TestSubmitClassFrameRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	blocks := func(n, q int) []*matrix.Block {
-		out := make([]*matrix.Block, n)
-		for i := range out {
-			out[i] = matrix.NewBlock(q)
-			out[i].FillRandom(rng)
-		}
-		return out
-	}
-	msg := &clientMsg{Kind: cSubmitC, R: 2, S: 3, T: 2, Q: 4, Class: ClassInteractive,
-		Blocks: blocks(2*2+2*3+2*3, 4)}
-	var buf bytes.Buffer
-	if err := writeClientMsg(&buf, msg, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readClientMsg(&buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != cSubmitC || got.Class != ClassInteractive ||
-		got.R != 2 || got.S != 3 || got.T != 2 || got.Q != 4 {
-		t.Errorf("fields mangled: %+v", got)
-	}
-	if len(got.Rows) != 0 || len(got.Cols) != 0 {
-		t.Errorf("classed frame without digests decoded %d/%d digest rows", len(got.Rows), len(got.Cols))
-	}
-	if len(got.Blocks) != len(msg.Blocks) {
-		t.Fatalf("%d blocks back, sent %d", len(got.Blocks), len(msg.Blocks))
-	}
-	for i := range msg.Blocks {
-		if got.Blocks[i].MaxAbsDiff(msg.Blocks[i]) != 0 {
-			t.Errorf("block %d not bitwise identical", i)
-		}
-	}
-}
-
 // TestSubmitProductClassEndToEnd submits a classed product over the real
 // client protocol and checks the class is visible daemon-side and the result
-// is bitwise-correct; a standard-class submission through the same API stays
-// on the legacy frame (wire compat with pre-class daemons).
+// is bitwise-correct; a standard-class submission with nil panels round-trips
+// on the same one frame.
 func TestSubmitProductClassEndToEnd(t *testing.T) {
 	s := oneWorkerServer(t, Config{QueuePolicy: PolicyPriority, NoCache: true})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -545,7 +503,7 @@ func TestSubmitProductClassEndToEnd(t *testing.T) {
 	a, b, c, want := testMatrices(t, inst, 8, 91)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	out, id, err := SubmitProductClass(ctx, daemon, a, b, c, nil, ClassBatch)
+	out, id, err := SubmitProduct(ctx, daemon, a, b, c, nil, ClassBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,11 +524,16 @@ func TestSubmitProductClassEndToEnd(t *testing.T) {
 	}
 
 	a2, b2, c2, want2 := testMatrices(t, inst, 8, 92)
-	out2, _, err := SubmitProductContext(ctx, daemon, a2, b2, c2)
+	out2, id2, err := SubmitProduct(ctx, daemon, a2, b2, c2, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := out2.MaxAbsDiff(want2); d != 0 {
-		t.Errorf("legacy-frame C differs from the oracle by %g", d)
+		t.Errorf("standard-class C differs from the oracle by %g", d)
+	}
+	for _, js := range s.Status().Jobs {
+		if js.ID == id2 && js.Class != "standard" {
+			t.Errorf("daemon reports class %q for the nil-panels submit, want standard", js.Class)
+		}
 	}
 }

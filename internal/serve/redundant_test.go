@@ -36,7 +36,7 @@ func TestDaemonRedundancyStatsAndTrace(t *testing.T) {
 	a, b, c, want := testMatrices(t, inst, 8, 700)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
+	got, id, err := SubmitProduct(ctx, daemon, a, b, c, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDaemonRedundancyAutoFactor(t *testing.T) {
 	a, b, c, want := testMatrices(t, inst, 8, 701)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
+	got, id, err := SubmitProduct(ctx, daemon, a, b, c, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestDaemonRedundancyAbsorbsStalledWorker(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	got, id, err := SubmitProductContext(ctx, daemon, a, b, c)
+	got, id, err := SubmitProduct(ctx, daemon, a, b, c, nil, ClassStandard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -433,7 +433,7 @@ func TestClientProtocolLoopback(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		a, b, c, want := testMatrices(t, inst, 8, int64(500+i))
 		go func() {
-			got, _, err := SubmitProductContext(ctx, daemon, a, b, c)
+			got, _, err := SubmitProduct(ctx, daemon, a, b, c, nil, ClassStandard)
 			results <- result{c: got, want: want, err: err}
 		}()
 	}
@@ -733,7 +733,7 @@ func TestWaitContext(t *testing.T) {
 }
 
 // TestClientCancelFrameAbortsJob drives the cancel path over the wire: a
-// SubmitProductContext whose context dies while the job is wedged mid-run
+// SubmitProduct whose context dies while the job is wedged mid-run
 // must send the cancel frame, the daemon must abort the job's lease, and the
 // client must come back promptly with the context error — while the daemon's
 // stats record the cancel.
@@ -763,7 +763,7 @@ func TestClientCancelFrameAbortsJob(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err = SubmitProductContext(ctx, daemon, a, b, c)
+	_, _, err = SubmitProduct(ctx, daemon, a, b, c, nil, ClassStandard)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submission returned %v, want context.Canceled in the chain", err)
@@ -822,7 +822,7 @@ func TestSubmitCancelBeforeAccept(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err = SubmitProductContext(ctx, ln.Addr().String(), a, b, c)
+	_, _, err = SubmitProduct(ctx, ln.Addr().String(), a, b, c, nil, ClassStandard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-accept cancel returned %v, want context.Canceled in the chain", err)
 	}

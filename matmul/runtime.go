@@ -423,7 +423,7 @@ func (s *remoteSession) run(ctx context.Context, j *Job, ah, bh *Operand, c *Mat
 	if s.cacheOn {
 		jp = jobPanels(ah, bh)
 	}
-	out, id, err := serve.SubmitProductClass(ctx, s.addr, a, b, c, jp, j.class)
+	out, id, err := serve.SubmitProduct(ctx, s.addr, a, b, c, jp, j.class)
 	if id != 0 {
 		j.setRemoteID(id)
 		// The daemon records every job's timeline; expose it through
