@@ -3,6 +3,7 @@ package matrix
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -143,5 +144,131 @@ func TestBlockRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// forcePortable runs f with the zero-staging path switched off, as on a
+// big-endian host.
+func forcePortable(t *testing.T, f func()) {
+	t.Helper()
+	if !hostLittleEndian {
+		t.Skip("host is big-endian: the portable path is the only path")
+	}
+	hostLittleEndian = false
+	defer func() { hostLittleEndian = true }()
+	f()
+}
+
+// TestPortablePathMatchesInPlacePath pins the wire format to the conversion
+// loop: the bytes a little-endian host writes straight from Block.Data are
+// the bytes the portable encoder produces, and each side decodes the other's.
+func TestPortablePathMatchesInPlacePath(t *testing.T) {
+	b := NewBlock(7)
+	b.FillRandom(rand.New(rand.NewSource(19)))
+	b.Data[3] = math.Copysign(0, -1)
+	b.Data[4] = math.Inf(1)
+	var fast, portable bytes.Buffer
+	if err := new(BlockCodec).WriteBlock(&fast, b); err != nil {
+		t.Fatal(err)
+	}
+	forcePortable(t, func() {
+		if err := new(BlockCodec).WriteBlock(&portable, b); err != nil {
+			t.Fatal(err)
+		}
+		got, err := new(BlockCodec).ReadBlock(bytes.NewReader(fast.Bytes()))
+		if err != nil || !bitwiseEqual(got, b) {
+			t.Errorf("portable decode of in-place bytes: err=%v", err)
+		}
+	})
+	if !bytes.Equal(fast.Bytes(), portable.Bytes()) {
+		t.Fatal("in-place and portable encodings differ")
+	}
+	got, err := new(BlockCodec).ReadBlock(bytes.NewReader(portable.Bytes()))
+	if err != nil || !bitwiseEqual(got, b) {
+		t.Errorf("in-place decode of portable bytes: err=%v", err)
+	}
+}
+
+func bitwiseEqual(a, b *Block) bool {
+	if a == nil || b == nil || a.Q != b.Q {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReadBlocksIntoDecodesInPlace: a list decoded into caller-owned blocks
+// lands in exactly those blocks; a wrong count is refused with the
+// destination untouched, a wrong edge before that block is written.
+func TestReadBlocksIntoDecodesInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	src := []*Block{NewBlock(5), NewBlock(5), NewBlock(5)}
+	for _, b := range src {
+		b.FillRandom(rng)
+	}
+	var frame bytes.Buffer
+	if err := new(BlockCodec).WriteBlocks(&frame, src); err != nil {
+		t.Fatal(err)
+	}
+	for _, portable := range []bool{false, true} {
+		dst := []*Block{NewBlock(5), NewBlock(5), NewBlock(5)}
+		decode := func() {
+			if err := new(BlockCodec).ReadBlocksInto(bytes.NewReader(frame.Bytes()), dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if portable {
+			forcePortable(t, decode)
+		} else {
+			decode()
+		}
+		for i := range src {
+			if !bitwiseEqual(dst[i], src[i]) {
+				t.Errorf("portable=%v: block %d differs after in-place decode", portable, i)
+			}
+		}
+	}
+
+	short := []*Block{NewBlock(5), NewBlock(5)}
+	short[0].Data[0], short[1].Data[0] = 42, 43
+	if err := new(BlockCodec).ReadBlocksInto(bytes.NewReader(frame.Bytes()), short); err == nil {
+		t.Fatal("a 3-block list decoded into a 2-block destination")
+	}
+	if short[0].Data[0] != 42 || short[1].Data[0] != 43 {
+		t.Error("a refused count still wrote into the destination")
+	}
+
+	mixed := []*Block{NewBlock(5), NewBlock(4), NewBlock(5)}
+	mixed[1].Data[0] = 44
+	if err := new(BlockCodec).ReadBlocksInto(bytes.NewReader(frame.Bytes()), mixed); err == nil {
+		t.Fatal("a q=5 block decoded into a q=4 destination")
+	}
+	if mixed[1].Data[0] != 44 || mixed[2].Data[0] != 0 {
+		t.Error("a refused edge still wrote into its block or past it")
+	}
+}
+
+// TestReadBlockFailedReadReturnsPoolBlock: a pool block taken for a payload
+// that then fails to arrive goes back to the pool.
+func TestReadBlockFailedReadReturnsPoolBlock(t *testing.T) {
+	var pool BlockPool
+	mine := pool.Get(4)
+	pool.Put(mine)
+	var frame bytes.Buffer
+	if err := new(BlockCodec).WriteBlock(&frame, NewBlock(4)); err != nil {
+		t.Fatal(err)
+	}
+	dec := &BlockCodec{Pool: &pool}
+	if _, err := dec.ReadBlock(bytes.NewReader(frame.Bytes()[:frame.Len()-3])); err == nil {
+		t.Fatal("truncated payload accepted")
+	}
+	// sync.Pool may drop an entry under GC pressure, so only a different
+	// non-fresh block would be wrong; getting ours back proves the Put.
+	if got := pool.Get(4); got != mine {
+		t.Skip("pool entry was dropped (GC); cannot observe the Put")
 	}
 }
