@@ -148,16 +148,24 @@ func writeClientMsg(w io.Writer, m *clientMsg, bc *matrix.BlockCodec) error {
 
 // readClientMsg reads one client frame, decoding blocks through bc.
 func readClientMsg(r io.Reader, bc *matrix.BlockCodec) (*clientMsg, error) {
+	m := &clientMsg{}
+	return m, readClientMsgInto(r, bc, m)
+}
+
+// readClientMsgInto reads one client frame into m. Blocks already in m are
+// the destination a block-carrying frame decodes into, in place (see
+// wire.Codec.Blocks); every other field is overwritten.
+func readClientMsgInto(r io.Reader, bc *matrix.BlockCodec, m *clientMsg) error {
 	kind, c, err := clientProto.Begin(r, bc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := &clientMsg{Kind: clientKind(kind)}
+	m.Kind = clientKind(kind)
 	m.fields(c)
 	if err := c.End(); err != nil {
-		return nil, fmt.Errorf("serve: decode %s: %w", m.Kind, err)
+		return fmt.Errorf("serve: decode %s: %w", m.Kind, err)
 	}
-	return m, nil
+	return nil
 }
 
 // flattenMatrix lists a matrix's blocks in row-major order, materializing
@@ -338,8 +346,11 @@ func (s *Server) handleClient(conn net.Conn) {
 const cancelGrace = 10 * time.Second
 
 // SubmitProduct is the client side of one submission: it ships A, B and C to
-// the daemon at addr, waits for the job to run, and returns the updated C and
-// the job id. The dial, the upload, and the wait for the result are all
+// the daemon at addr, waits for the job to run, and returns c — updated in
+// place: the result frame is decoded straight into c's blocks — and the job
+// id. A submission that fails before the result frame arrives leaves c
+// untouched; one that fails while the result is being read leaves it
+// partially overwritten. The dial, the upload, and the wait for the result are all
 // bounded by ctx's deadline — there is no hidden fixed dial budget that can
 // outlive the caller's (no deadline: the job may legitimately queue for a
 // while). If ctx is cancelled while the job queues or runs, a cancel frame is
@@ -371,10 +382,11 @@ func SubmitProduct(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix
 	// so a deadline-less submission is still interruptible mid-upload.
 	stopEarly := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 
-	blocks := make([]*matrix.Block, 0, a.Rows*a.Cols+b.Rows*b.Cols+c.Rows*c.Cols)
+	cBlocks := flattenMatrix(c)
+	blocks := make([]*matrix.Block, 0, a.Rows*a.Cols+b.Rows*b.Cols+len(cBlocks))
 	blocks = append(blocks, flattenMatrix(a)...)
 	blocks = append(blocks, flattenMatrix(b)...)
-	blocks = append(blocks, flattenMatrix(c)...)
+	blocks = append(blocks, cBlocks...)
 	sub := &clientMsg{Kind: cSubmit, R: c.Rows, S: c.Cols, T: a.Cols, Q: a.Q, Class: class, Blocks: blocks}
 	if jp != nil {
 		sub.Rows, sub.Cols = jp.ARows, jp.BCols
@@ -430,17 +442,13 @@ func SubmitProduct(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix
 	})
 	defer stop()
 
-	res, err := readClientMsg(rd, &codec)
-	if err != nil {
+	res := &clientMsg{Blocks: cBlocks}
+	if err := readClientMsgInto(rd, &codec, res); err != nil {
 		return nil, ack.ID, clientErr(ctx, err)
 	}
 	switch res.Kind {
 	case cResult:
-		out, err := matrixFromBlocks(c.Rows, c.Cols, c.Q, res.Blocks)
-		if err != nil {
-			return nil, res.ID, err
-		}
-		return out, res.ID, nil
+		return c, res.ID, nil
 	case cError:
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, res.ID, fmt.Errorf("serve: job %d canceled: %w (daemon: %s)", res.ID, ctxErr, res.Err)

@@ -299,8 +299,11 @@ func (c *Codec) Digests(v *[]cache.Digest, max int) {
 	List(c, v, max, func(c *Codec, d *cache.Digest) { c.Raw(d[:]) })
 }
 
-// Blocks moves a block list through the frame's BlockCodec: the blocks stream
-// between the connection and the codec's reused scratch buffer exactly once.
+// Blocks moves a block list through the frame's BlockCodec, straight between
+// the connection and the blocks' own memory. A decoding walk that finds *v
+// already filled decodes in place, into the blocks the caller owns — a list
+// of another length or a block of another edge is refused before it is
+// stored; an empty *v is filled from the codec's pool.
 func (c *Codec) Blocks(v *[]*matrix.Block) {
 	if c.bc == nil {
 		c.bc = &matrix.BlockCodec{}
@@ -314,6 +317,8 @@ func (c *Codec) Blocks(v *[]*matrix.Block) {
 		}
 	case c.mode == writing:
 		c.err = c.bc.WriteBlocks(c.w, *v)
+	case len(*v) > 0:
+		c.err = c.bc.ReadBlocksInto(&c.lr, *v)
 	default:
 		*v, c.err = c.bc.ReadBlocks(&c.lr)
 	}

@@ -211,3 +211,43 @@ func TestHostileCountsCostWhatTheyShip(t *testing.T) {
 		}
 	}
 }
+
+// TestBlocksDecodeInPlace: a decoding walk over a message whose block list is
+// already filled lands the wire's blocks in the caller's, and refuses a list
+// of another length without touching them.
+func TestBlocksDecodeInPlace(t *testing.T) {
+	src := []*matrix.Block{matrix.NewBlock(4), matrix.NewBlock(4)}
+	for _, b := range src {
+		b.FillRandom(rand.New(rand.NewSource(2)))
+	}
+	var buf bytes.Buffer
+	if err := testProto.Write(&buf, 1, nil, func(c *Codec) { c.Blocks(&src) }); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(dst []*matrix.Block) error {
+		_, c, err := testProto.Begin(bytes.NewReader(buf.Bytes()), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Blocks(&dst)
+		return c.End()
+	}
+	mine := []*matrix.Block{matrix.NewBlock(4), matrix.NewBlock(4)}
+	held := append([]*matrix.Block(nil), mine...)
+	if err := decode(mine); err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		if mine[i] != held[i] || !mine[i].Equal(src[i], 0) {
+			t.Errorf("block %d: not decoded into the caller's block", i)
+		}
+	}
+	one := []*matrix.Block{matrix.NewBlock(4)}
+	one[0].Data[0] = 7
+	if err := decode(one); err == nil {
+		t.Fatal("a 2-block list decoded into a 1-block destination")
+	}
+	if one[0].Data[0] != 7 {
+		t.Error("a refused list still wrote into the destination")
+	}
+}

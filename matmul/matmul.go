@@ -377,6 +377,12 @@ func WithClass(name string) SubmitOption {
 // C (WithClass declares the SLO class). The job is canceled
 // when ctx ends, when Job.Cancel is called, or when the session closes —
 // whichever comes first. Waiting is separate: use Job.Wait or Job.Done.
+//
+// A job that fails or is canceled may leave C partially updated, on every
+// runtime. On Remote the daemon's reply is decoded straight into C: a job
+// that fails before the result frame arrives leaves C untouched, one that
+// fails while the result is being read (a connection lost mid-reply) leaves
+// C partially overwritten.
 func (s *Session) Submit(ctx context.Context, a, b any, c *Matrix, opts ...SubmitOption) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()

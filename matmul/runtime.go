@@ -423,7 +423,9 @@ func (s *remoteSession) run(ctx context.Context, j *Job, ah, bh *Operand, c *Mat
 	if s.cacheOn {
 		jp = jobPanels(ah, bh)
 	}
-	out, id, err := serve.SubmitProduct(ctx, s.addr, a, b, c, jp, j.class)
+	// The daemon's reply is decoded straight into c's blocks: the in-place
+	// contract costs no copy on this runtime either.
+	_, id, err := serve.SubmitProduct(ctx, s.addr, a, b, c, jp, j.class)
 	if id != 0 {
 		j.setRemoteID(id)
 		// The daemon records every job's timeline; expose it through
@@ -433,17 +435,7 @@ func (s *remoteSession) run(ctx context.Context, j *Job, ah, bh *Operand, c *Mat
 			return serve.FetchTraceContext(ctx, addr, id)
 		})
 	}
-	if err != nil {
-		return err
-	}
-	// The wire round-trips C; fold the result back into the caller's C so
-	// the in-place contract holds on every runtime.
-	for i := 0; i < c.Rows; i++ {
-		for k := 0; k < c.Cols; k++ {
-			c.SetBlock(i, k, out.Block(i, k))
-		}
-	}
-	return nil
+	return err
 }
 
 // stats fetches the daemon's snapshot and renders it in the session shape:
