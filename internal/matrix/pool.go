@@ -51,3 +51,8 @@ func (p *BlockPool) PutAll(blocks []*Block) {
 		p.Put(b)
 	}
 }
+
+// SharedPool is the process-wide pool of the serve path: the daemon's submit
+// decode draws a job's operands from it and returns them when the job's lease
+// is over.
+var SharedPool BlockPool

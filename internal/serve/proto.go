@@ -220,7 +220,7 @@ func (s *Server) handleClient(conn net.Conn) {
 	defer conn.Close()
 	rd := bufio.NewReaderSize(conn, 1<<16)
 	wr := bufio.NewWriterSize(conn, 1<<16)
-	var codec matrix.BlockCodec
+	codec := matrix.BlockCodec{Pool: &matrix.SharedPool}
 
 	reply := func(m *clientMsg) error {
 		if err := writeClientMsg(wr, m, &codec); err != nil {
@@ -241,6 +241,11 @@ func (s *Server) handleClient(conn net.Conn) {
 		s.log.Warn("client request failed", "client", conn.RemoteAddr().String(), "err", err)
 		return
 	}
+	// The frame's blocks are pool-born and go back when this handler returns.
+	// For a submission that is after Wait: the job is terminal, its dispatch
+	// goroutines have joined and its lease is back with the fleet, so nothing
+	// can still reach A, B or C — and the reply, which reads C, is flushed.
+	defer matrix.SharedPool.PutAll(msg.Blocks)
 	switch msg.Kind {
 	case cStatus:
 		body, err := json.Marshal(s.Status())
@@ -310,7 +315,8 @@ func (s *Server) handleClient(conn net.Conn) {
 			return
 		}
 		if err := reply(&clientMsg{Kind: cAccept, ID: id}); err != nil {
-			return // client gone; the job still runs
+			s.Wait(id) // client gone; the job still runs, and owns the blocks until it ends
+			return
 		}
 		// While the job queues or runs, keep reading the connection for a
 		// cancel frame (the submit goroutine wrote its last frame already, so
