@@ -321,7 +321,7 @@ func (x *core) work(w int) {
 		if err == nil && x.gate == nil {
 			// Single-copy commit: this chunk's region of C belongs to this
 			// unit alone, so the write-back needs no lock.
-			err = writeChunk(x.c, x.jobs[u.job].Chunk, blocks)
+			err = writeChunk(x.c, x.jobs[u.job].Chunk, blocks, st.copies)
 		}
 		x.settle(w, err, blocks)
 	}

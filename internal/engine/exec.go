@@ -42,13 +42,18 @@ type Backend interface {
 	RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error)
 }
 
-// CopyingBackend is optionally implemented by Backends whose SendC/SendAB
-// copy their block payloads before returning (serializing transports like
-// internal/net, which stage blocks onto the wire). For such backends the
-// executor recycles its staging blocks and panel slices through a pool the
-// moment a send returns, keeping the steady-state send path allocation-free.
-// Backends that retain the pointers (the channel backend hands them straight
-// to worker goroutines) must not implement this, or must report false.
+// CopyingBackend is optionally implemented by Backends that move block
+// contents rather than pointers (serializing transports like internal/net):
+// SendC/SendAB are done with their payloads when they return, and the blocks
+// RecvC yields are carriers the executor owns outright. For such backends
+// blocks cycle through matrix.SharedPool in both directions: a chunk snapshot
+// is staged in pool blocks and recycled the moment its send returns, and a
+// returned chunk is landed by copying into C's existing blocks, its carriers
+// going back to the pool — so C keeps its blocks for the whole job and a
+// steady-state run allocates nothing per chunk. Backends that hand pointers
+// through (the channel backend gives them straight to worker goroutines) must
+// not implement this, or must report false: their snapshots are fresh
+// allocations and their results are swapped into C, with no copy either way.
 type CopyingBackend interface {
 	CopiesBlocks() bool
 }
@@ -59,14 +64,11 @@ type CopyingBackend interface {
 // aborts the run.
 var ErrWorkerDown = errors.New("worker down")
 
-// stagePool recycles the staging blocks of all executions against copying
-// backends. Package-level so consecutive runs (and concurrent dispatch
-// goroutines) share one warm pool.
-var stagePool matrix.BlockPool
-
 // stager owns one dispatch path's staging state: scratch slices for panel
 // gathering and chunk cloning, reused across operations when (and only when)
-// the backend copies payloads before returning. One stager per goroutine —
+// the backend is a CopyingBackend — copies also tells writeChunk whether a
+// returned chunk's blocks are carriers to copy out of and recycle, or
+// pointers to swap into C. One stager per goroutine —
 // it is deliberately not synchronized. rec, when non-nil, receives one trace
 // event per backend operation (the Recorder itself is concurrency-safe).
 type stager struct {
@@ -87,7 +89,7 @@ func (st *stager) stageChunk(c *matrix.BlockMatrix, ch matrix.Chunk) []*matrix.B
 	if !st.copies {
 		return cloneChunk(c, ch, nil, nil)
 	}
-	st.cBuf = cloneChunk(c, ch, &stagePool, st.cBuf[:0])
+	st.cBuf = cloneChunk(c, ch, &matrix.SharedPool, st.cBuf[:0])
 	return st.cBuf
 }
 
@@ -95,7 +97,7 @@ func (st *stager) stageChunk(c *matrix.BlockMatrix, ch matrix.Chunk) []*matrix.B
 // it (no-op for retaining backends).
 func (st *stager) releaseChunk(blocks []*matrix.Block) {
 	if st.copies {
-		stagePool.PutAll(blocks)
+		matrix.SharedPool.PutAll(blocks)
 	}
 }
 
@@ -202,7 +204,7 @@ func ExecuteContext(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matr
 			blocks, opErr = be.RecvC(w, op.Chunk)
 			if opErr == nil {
 				st.observe(w, trace.RecvC, op.Chunk.Blocks(), t0, time.Now())
-				if opErr = writeChunk(c, op.Chunk, blocks); opErr == nil {
+				if opErr = writeChunk(c, op.Chunk, blocks, st.copies); opErr == nil {
 					done[opJob[i]] = true
 				}
 			}
@@ -301,7 +303,7 @@ func runJob(be Backend, w int, j sim.PlanJob, a, b, c *matrix.BlockMatrix, st *s
 		return err
 	}
 	st.observe(w, trace.RecvC, j.Chunk.Blocks(), t0, time.Now())
-	return writeChunk(c, j.Chunk, result)
+	return writeChunk(c, j.Chunk, result, st.copies)
 }
 
 func nextAlive(alive []bool, cursor *int) (int, bool) {
@@ -363,8 +365,12 @@ func gatherPanels(a, b *matrix.BlockMatrix, ch matrix.Chunk, k0, k1 int, amDst, 
 	return amDst, bmDst
 }
 
-// writeChunk stores a returned chunk's blocks back into c.
-func writeChunk(c *matrix.BlockMatrix, ch matrix.Chunk, blocks []*matrix.Block) error {
+// writeChunk lands a returned chunk in c. carriers says the blocks came from a
+// copying backend: their contents are copied into c's existing blocks and
+// they go back to the pool. Otherwise they are swapped into c. Either way c's
+// chunk region is untouched until the whole result is in hand and validated —
+// failover replays from it.
+func writeChunk(c *matrix.BlockMatrix, ch matrix.Chunk, blocks []*matrix.Block, carriers bool) error {
 	if len(blocks) != ch.Blocks() {
 		return fmt.Errorf("engine: result for %v has %d blocks, want %d", ch, len(blocks), ch.Blocks())
 	}
@@ -376,9 +382,16 @@ func writeChunk(c *matrix.BlockMatrix, ch matrix.Chunk, blocks []*matrix.Block) 
 	idx := 0
 	for i := ch.Row0; i < ch.Row0+ch.H; i++ {
 		for j := ch.Col0; j < ch.Col0+ch.W; j++ {
-			c.SetBlock(i, j, blocks[idx])
+			if carriers {
+				copy(c.Block(i, j).Data, blocks[idx].Data)
+			} else {
+				c.SetBlock(i, j, blocks[idx])
+			}
 			idx++
 		}
+	}
+	if carriers {
+		matrix.SharedPool.PutAll(blocks)
 	}
 	return nil
 }

@@ -44,7 +44,8 @@ type RawSender interface {
 // holds the group's committed chunk results by slot (nil where missing; the
 // blocks are read-only views into C). Each received parity contributes one
 // coefficient row (its per-member encoding coefficients, slot order) and its
-// result blocks. It returns freshly allocated blocks per recovered slot, or
+// result blocks. It returns freshly allocated blocks per recovered slot (the
+// gate takes them over, like any result), or
 // ok=false when the system is still underdetermined. internal/coded installs
 // the MDS solver here; the engine stays free of coding theory.
 type ReconstructFunc func(members [][]*matrix.Block, coeffs [][]float64, parities [][]*matrix.Block) (map[int][]*matrix.Block, bool)
@@ -138,6 +139,7 @@ type parityGroup struct {
 type kofnGate struct {
 	red       *Redundancy
 	uc        UnitCanceler // nil: laggards run to completion and are discarded
+	carriers  bool         // copying backend: results are copied into C and recycled
 	jobs      []sim.PlanJob
 	c         *matrix.BlockMatrix
 	committed []bool
@@ -153,6 +155,7 @@ func newGate(red *Redundancy, jobs []sim.PlanJob, c *matrix.BlockMatrix, be Back
 		groups:    make(map[int]*parityGroup),
 	}
 	g.uc, _ = be.(UnitCanceler)
+	g.carriers = newStager(be).copies
 	for i := range red.Units {
 		if ru := &red.Units[i]; ru.Job < 0 && g.groups[ru.Group] == nil {
 			g.groups[ru.Group] = &parityGroup{members: ru.Members}
@@ -231,13 +234,16 @@ func (g *kofnGate) commit(u unit, blocks []*matrix.Block) (int, error) {
 			return 0, nil
 		}
 	} else if !g.committed[u.job] {
-		if err := writeChunk(g.c, g.jobs[u.job].Chunk, blocks); err != nil {
+		if err := writeChunk(g.c, g.jobs[u.job].Chunk, blocks, g.carriers); err != nil {
 			return 0, err
 		}
 		g.committed[u.job] = true
 		return 1, nil
 	}
 	wasted := wireBytes(blocks)
+	if g.carriers {
+		matrix.SharedPool.PutAll(blocks)
+	}
 	g.red.bump(func(st *RedundancyStats) {
 		st.DuplicateWins++
 		st.WastedBytes += wasted
@@ -299,7 +305,7 @@ groups:
 			if g.committed[ji] {
 				continue
 			}
-			if err := writeChunk(g.c, g.jobs[ji].Chunk, blocks); err != nil {
+			if err := writeChunk(g.c, g.jobs[ji].Chunk, blocks, g.carriers); err != nil {
 				return landed, err
 			}
 			g.committed[ji] = true

@@ -52,7 +52,11 @@ func (p *BlockPool) PutAll(blocks []*Block) {
 	}
 }
 
-// SharedPool is the process-wide pool of the serve path: the daemon's submit
-// decode draws a job's operands from it and returns them when the job's lease
-// is over.
+// SharedPool is the one process-wide pool of the real runtimes. Every block
+// that exists only for the length of a job or a transfer is born here and
+// comes back here: the daemon's submit decode (a job's A, B and C, returned at
+// lease end), the engine's chunk snapshots and the master link's result
+// carriers (returned as soon as sent or landed), a worker session's chunk and
+// installment blocks. Blocks that change owner for good — panels a worker
+// cache absorbs — simply never come back.
 var SharedPool BlockPool

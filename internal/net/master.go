@@ -114,6 +114,9 @@ func DialWorkerContext(ctx context.Context, addr string, opts *MasterOptions) (*
 	}
 	conn = obs.CountConn(conn, mSentTo.With(addr), mRecvFrom.With(addr))
 	l := &link{conn: conn, rd: bufio.NewReaderSize(conn, 1<<16), wr: bufio.NewWriterSize(conn, 1<<16)}
+	// Result blocks are carriers: the engine copies them into C and recycles
+	// them (see engine.CopyingBackend).
+	l.dec.Pool = &matrix.SharedPool
 	conn.SetReadDeadline(deadlineWithin(ctx, o.DialTimeout))
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	hello, err := ReadMsg(l.rd, nil)
@@ -290,10 +293,10 @@ type Master struct {
 var _ engine.Backend = (*Master)(nil)
 var _ engine.CopyingBackend = (*Master)(nil)
 
-// CopiesBlocks implements engine.CopyingBackend: SendC and SendAB stage
-// every block onto the wire (through the connection's buffered writer)
-// before returning, so the executor may recycle its staging blocks the
-// moment a send completes.
+// CopiesBlocks implements engine.CopyingBackend: SendC and SendAB put every
+// block on the wire and flush before returning, and RecvC's blocks are
+// pool-born carriers nothing else references, so the executor recycles both
+// the moment it is done with them.
 func (m *Master) CopiesBlocks() bool { return true }
 
 // Dial connects to every worker address and collects their registrations.

@@ -214,13 +214,13 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 	frames := make(chan frame, 4096)
 	// pool recycles every block this session receives: the consumer loop
 	// puts installment panels back once applied and chunk blocks back once
-	// their result frame is on the wire, so the reader's decodes stop
-	// allocating once the first job has warmed the pool (sync.Pool is safe
-	// for this cross-goroutine Get/Put traffic).
-	var pool matrix.BlockPool
+	// their result frame is flushed, so the reader's decodes stop allocating
+	// once the process is warm (sync.Pool is safe for this cross-goroutine
+	// Get/Put traffic).
+	pool := &matrix.SharedPool
 	go func() {
 		rd := bufio.NewReaderSize(conn, 1<<16)
-		dec := matrix.BlockCodec{Pool: &pool}
+		dec := matrix.BlockCodec{Pool: pool}
 		for {
 			if idle > 0 && !busy.Load() {
 				conn.SetReadDeadline(time.Now().Add(idle))
@@ -348,7 +348,7 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			if err := write(&Msg{Kind: MsgResult, Chunk: cur, Blocks: blocks}); err != nil {
 				return fmt.Errorf("net: worker %s: send result: %w", name, err)
 			}
-			// The result frame is staged on the wire; the chunk blocks (also
+			// The result frame is written and flushed; the chunk blocks (also
 			// pool-born, via the chunk decode) are free for reuse.
 			pool.PutAll(blocks)
 			blocks = nil
