@@ -65,7 +65,8 @@ func (b *Block) FillRandom(rng *rand.Rand) {
 	}
 }
 
-// Equal reports whether two blocks agree elementwise within tol.
+// Equal reports whether two blocks agree elementwise within tol; a NaN agrees
+// only with its own bit pattern.
 func (b *Block) Equal(o *Block, tol float64) bool {
 	if o == nil || b.Q != o.Q {
 		return false
@@ -75,15 +76,21 @@ func (b *Block) Equal(o *Block, tol float64) bool {
 	x := b.Data
 	od := o.Data[:len(x)]
 	for i := range x {
-		if d := x[i] - od[i]; d > tol || d < -tol {
+		if d := x[i] - od[i]; d > tol || d < -tol || d != d && !sameBits(x[i], od[i]) {
 			return false
 		}
 	}
 	return true
 }
 
+// sameBits reports bit-for-bit equality, the one sense in which two NaNs (or
+// two infinities, whose difference is NaN) agree.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
 // MaxAbsDiff returns the largest absolute elementwise difference between two
-// blocks. It panics if shapes differ.
+// blocks. A NaN facing anything but its own bit pattern is an infinite
+// difference — never a silent zero — so "MaxAbsDiff == 0" means bitwise
+// agreement even for a result that is all NaN. It panics if shapes differ.
 func (b *Block) MaxAbsDiff(o *Block) float64 {
 	if b.Q != o.Q {
 		panic(fmt.Sprintf("matrix: MaxAbsDiff shape mismatch %d vs %d", b.Q, o.Q))
@@ -96,6 +103,8 @@ func (b *Block) MaxAbsDiff(o *Block) float64 {
 	for i := range x {
 		if d := math.Abs(x[i] - od[i]); d > m {
 			m = d
+		} else if d != d && !sameBits(x[i], od[i]) {
+			return math.Inf(1)
 		}
 	}
 	return m

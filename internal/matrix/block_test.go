@@ -158,3 +158,25 @@ func TestMulAddLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestComparatorsSeeNaN: a NaN is never a silent match — the bitwise-C
+// suites compare with MaxAbsDiff == 0 and Equal(…, 0), and a result poisoned
+// with NaN must fail them — while identical bit patterns still agree.
+func TestComparatorsSeeNaN(t *testing.T) {
+	a, b := NewBlock(2), NewBlock(2)
+	a.Data[1], b.Data[1] = math.Inf(1), math.Inf(1)
+	a.Data[2], b.Data[2] = math.NaN(), math.NaN()
+	if d := a.MaxAbsDiff(b); d != 0 || !a.Equal(b, 0) {
+		t.Errorf("identical bit patterns differ: MaxAbsDiff %g, Equal %v", d, a.Equal(b, 0))
+	}
+	b.Data[3] = math.NaN()
+	if d := a.MaxAbsDiff(b); !math.IsInf(d, 1) || a.Equal(b, 1e9) || b.Equal(a, 1e9) {
+		t.Errorf("NaN against 0: MaxAbsDiff %g, Equal %v", d, a.Equal(b, 1e9))
+	}
+	m, n := NewBlockMatrix(1, 2, 2), NewBlockMatrix(1, 2, 2)
+	m.Block(0, 1).Data[0] = math.NaN()
+	n.Block(0, 0).Data[0] = 0.5
+	if d := m.MaxAbsDiff(n); !math.IsInf(d, 1) || m.Equal(n, 1) {
+		t.Errorf("matrix with a NaN block: MaxAbsDiff %g, Equal %v", d, m.Equal(n, 1))
+	}
+}

@@ -1,6 +1,9 @@
 package matrix
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // BlockPool recycles Blocks to keep steady-state execution off the
 // allocator: a q×q float64 block is ~51 KB at the default q=80, and the real
@@ -33,11 +36,24 @@ func (p *BlockPool) Get(q int) *Block {
 	return p.pool(q).Get().(*Block)
 }
 
+// poison makes Put overwrite the block with NaN, so a reader that still holds
+// a recycled block computes garbage — a bitwise-C failure in the suites —
+// instead of passing by luck. Set only by the poisonpool build tag (CI runs
+// the bitwise suites under it); the race detector cannot see this class of
+// bug, since Put and Get are synchronized.
+var poison = false
+
 // Put recycles b for a future Get of the same edge. The caller must hold no
 // other reference to b; nil is ignored.
 func (p *BlockPool) Put(b *Block) {
 	if p == nil || b == nil {
 		return
+	}
+	if poison {
+		nan := math.NaN()
+		for i := range b.Data {
+			b.Data[i] = nan
+		}
 	}
 	p.pool(b.Q).Put(b)
 }
