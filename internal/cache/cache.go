@@ -26,8 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
-	"math"
 	"sync"
 
 	"repro/internal/matrix"
@@ -45,42 +43,27 @@ type Digest [DigestLen]byte
 // String renders a short hex form for logs.
 func (d Digest) String() string { return hex.EncodeToString(d[:6]) }
 
-// hashBlock folds one q×q block (nil = implicit zero block) into h.
-func hashBlock(h io.Writer, b *matrix.Block, q int, scratch []byte) []byte {
-	n := 8 * q
-	if cap(scratch) < n {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if b == nil {
-		for i := range scratch {
-			scratch[i] = 0
-		}
-		for r := 0; r < q; r++ {
-			h.Write(scratch)
-		}
-		return scratch
-	}
-	for r := 0; r < q; r++ {
-		row := b.Data[r*q : (r+1)*q]
-		for i, v := range row {
-			binary.LittleEndian.PutUint64(scratch[i*8:], math.Float64bits(v))
-		}
-		h.Write(scratch)
-	}
-	return scratch
-}
-
 // panelDigest hashes t blocks (fetched by index) under a (q, t) shape header.
+// Each block goes in as its wire payload — q² little-endian float64s, one
+// Write, straight from the block's memory on a little-endian host; an
+// implicit zero block (nil) hashes as a zero block.
 func panelDigest(q, t int, block func(k int) *matrix.Block) Digest {
 	h := sha256.New()
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(q))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(t))
 	h.Write(hdr[:])
-	var scratch []byte
+	var bc matrix.BlockCodec
+	var zero []float64
 	for k := 0; k < t; k++ {
-		scratch = hashBlock(h, block(k), q, scratch)
+		data := zero
+		if b := block(k); b != nil {
+			data = b.Data
+		} else if zero == nil {
+			zero = make([]float64, q*q)
+			data = zero
+		}
+		bc.WritePayload(h, data) // a hash.Hash never returns an error
 	}
 	var d Digest
 	copy(d[:], h.Sum(nil))

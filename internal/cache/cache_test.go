@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"sync"
 	"testing"
@@ -248,3 +249,27 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("unrelated worker lost residency: %v", f)
 	}
 }
+
+// TestPanelDigestGolden pins the digest function: digests are content
+// addresses shared by clients, daemons and worker caches across builds, so
+// how a panel's bytes reach the hash may change, the digest may not.
+func TestPanelDigestGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(20080220))
+	a := matrix.NewBlockMatrix(3, 4, 5)
+	b := matrix.NewBlockMatrix(4, 2, 5)
+	a.FillRandom(rng)
+	b.FillRandom(rng)
+	a.SetBlock(1, 2, nil) // an implicit zero block inside the hashed row
+	row, col := RowPanelDigest(a, 1), ColPanelDigest(b, 1)
+	if got, want := hex.EncodeToString(row[:]), goldenARow; got != want {
+		t.Errorf("A row-panel digest %s, want %s", got, want)
+	}
+	if got, want := hex.EncodeToString(col[:]), goldenBCol; got != want {
+		t.Errorf("B column-panel digest %s, want %s", got, want)
+	}
+}
+
+const (
+	goldenARow = "a6cad4ab8a64c533c667fc33cbaeefef"
+	goldenBCol = "4b2b9eff22e2f42a54d7785b6edc907f"
+)
