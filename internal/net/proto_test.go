@@ -298,5 +298,34 @@ func FuzzReadMsg(f *testing.F) {
 		if !bytes.Equal(encode(t, again), frame) {
 			t.Fatalf("%s: re-encode changed the message: %+v → %+v", m.Kind, m, again)
 		}
+		if len(m.Blocks) == 0 {
+			return
+		}
+		// The same frame through the wire layer's in-place path (a block list
+		// the reader pre-filled): the right shapes take the same message, one
+		// block too many is refused.
+		readInto := func(dst []*matrix.Block) (*Msg, error) {
+			kind, c, err := proto.Begin(bytes.NewReader(frame), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			into := &Msg{Kind: MsgKind(kind), Blocks: dst}
+			into.fields(c)
+			return into, c.End()
+		}
+		own := make([]*matrix.Block, len(m.Blocks), len(m.Blocks)+1)
+		for i, b := range m.Blocks {
+			own[i] = matrix.NewBlock(b.Q)
+		}
+		inPlace, err := readInto(own)
+		if err != nil {
+			t.Fatalf("%s: in-place decode: %v", m.Kind, err)
+		}
+		if inPlace.Blocks[0] != own[0] || !bytes.Equal(encode(t, inPlace), frame) {
+			t.Fatalf("%s: in-place decode changed the message or left the reader's blocks", m.Kind)
+		}
+		if _, err := readInto(append(own, matrix.NewBlock(1))); err == nil {
+			t.Fatalf("%s: %d blocks decoded into a %d-block destination", m.Kind, len(m.Blocks), len(own)+1)
+		}
 	})
 }

@@ -244,6 +244,26 @@ func FuzzReadClientMsg(f *testing.F) {
 		if !bytes.Equal(encodeClient(t, again), frame) {
 			t.Fatalf("%s: re-encode changed the message: %+v → %+v", m.Kind, m, again)
 		}
+		if len(m.Blocks) == 0 {
+			return
+		}
+		// The way SubmitProduct reads its result: into a list the caller
+		// pre-filled. The right shapes take the same message in place; one
+		// block too many is refused.
+		own := make([]*matrix.Block, len(m.Blocks), len(m.Blocks)+1)
+		for i, b := range m.Blocks {
+			own[i] = matrix.NewBlock(b.Q)
+		}
+		inPlace := &clientMsg{Blocks: own}
+		if err := readClientMsgInto(bytes.NewReader(frame), nil, inPlace); err != nil {
+			t.Fatalf("%s: in-place decode: %v", m.Kind, err)
+		}
+		if inPlace.Blocks[0] != own[0] || !bytes.Equal(encodeClient(t, inPlace), frame) {
+			t.Fatalf("%s: in-place decode changed the message or left the caller's blocks", m.Kind)
+		}
+		if err := readClientMsgInto(bytes.NewReader(frame), nil, &clientMsg{Blocks: append(own, matrix.NewBlock(1))}); err == nil {
+			t.Fatalf("%s: %d blocks decoded into a %d-block destination", m.Kind, len(m.Blocks), len(own)+1)
+		}
 	})
 }
 
