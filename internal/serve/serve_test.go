@@ -331,6 +331,15 @@ func TestConcurrentJobCrashIsolation(t *testing.T) {
 	aA, bA, cA, wantA := testMatrices(t, inst, 8, 401) // healthy lease [0,1]
 	aB, bB, cB, wantB := testMatrices(t, inst, 8, 402) // crashing lease [2,3]
 
+	// The premise — A on [0,1] while B runs on [2,3] — needs both jobs queued
+	// before the first dispatch: a sub-millisecond job A would otherwise be
+	// done, and its lease free for B, before B is even submitted. So the whole
+	// fleet is held until both Submits have returned.
+	all := []int{0, 1, 2, 3}
+	hold, err := f.Lease(all)
+	if err != nil {
+		t.Fatal(err)
+	}
 	idA, err := s.Submit(aA, bA, cA)
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +348,8 @@ func TestConcurrentJobCrashIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Return(all, hold, false)
+	s.kick()
 	startedA := time.Now()
 	if err := s.Wait(idA); err != nil {
 		t.Fatalf("healthy job: %v", err)
