@@ -45,15 +45,14 @@ type Backend interface {
 // CopyingBackend is optionally implemented by Backends that move block
 // contents rather than pointers (serializing transports like internal/net):
 // SendC/SendAB are done with their payloads when they return, and the blocks
-// RecvC yields are carriers the executor owns outright. For such backends
-// blocks cycle through matrix.SharedPool in both directions: a chunk snapshot
+// RecvC yields are carriers the executor owns outright. Against such a
+// backend blocks cycle through matrix.SharedPool both ways: a chunk snapshot
 // is staged in pool blocks and recycled the moment its send returns, and a
-// returned chunk is landed by copying into C's existing blocks, its carriers
-// going back to the pool — so C keeps its blocks for the whole job and a
-// steady-state run allocates nothing per chunk. Backends that hand pointers
-// through (the channel backend gives them straight to worker goroutines) must
-// not implement this, or must report false: their snapshots are fresh
-// allocations and their results are swapped into C, with no copy either way.
+// returned chunk is copied into C's existing blocks, its carriers going back
+// to the pool — a steady-state run allocates nothing per chunk. Backends that
+// hand pointers through (the channel backend) must not implement this, or
+// must report false: their snapshots are fresh and their results are swapped
+// into C, with no copy either way.
 type CopyingBackend interface {
 	CopiesBlocks() bool
 }
@@ -77,9 +76,11 @@ type stager struct {
 	rec          *trace.Recorder
 }
 
-func newStager(be Backend) *stager {
+func newStager(be Backend) *stager { return &stager{copies: copiesBlocks(be)} }
+
+func copiesBlocks(be Backend) bool {
 	cp, ok := be.(CopyingBackend)
-	return &stager{copies: ok && cp.CopiesBlocks()}
+	return ok && cp.CopiesBlocks()
 }
 
 // stageChunk snapshots chunk ch of c. Against a copying backend the snapshot
@@ -365,11 +366,10 @@ func gatherPanels(a, b *matrix.BlockMatrix, ch matrix.Chunk, k0, k1 int, amDst, 
 	return amDst, bmDst
 }
 
-// writeChunk lands a returned chunk in c. carriers says the blocks came from a
-// copying backend: their contents are copied into c's existing blocks and
-// they go back to the pool. Otherwise they are swapped into c. Either way c's
-// chunk region is untouched until the whole result is in hand and validated —
-// failover replays from it.
+// writeChunk lands a returned chunk in c: carriers (a copying backend's
+// blocks) are copied into c's existing blocks and recycled, anything else is
+// swapped in. Either way c's chunk region is untouched until the whole result
+// is in hand and validated — failover replays from it.
 func writeChunk(c *matrix.BlockMatrix, ch matrix.Chunk, blocks []*matrix.Block, carriers bool) error {
 	if len(blocks) != ch.Blocks() {
 		return fmt.Errorf("engine: result for %v has %d blocks, want %d", ch, len(blocks), ch.Blocks())

@@ -155,7 +155,7 @@ func newGate(red *Redundancy, jobs []sim.PlanJob, c *matrix.BlockMatrix, be Back
 		groups:    make(map[int]*parityGroup),
 	}
 	g.uc, _ = be.(UnitCanceler)
-	g.carriers = newStager(be).copies
+	g.carriers = copiesBlocks(be)
 	for i := range red.Units {
 		if ru := &red.Units[i]; ru.Job < 0 && g.groups[ru.Group] == nil {
 			g.groups[ru.Group] = &parityGroup{members: ru.Members}

@@ -14,36 +14,32 @@ import (
 // costs ~3× in encode time for large numeric slices; the schedulers move many
 // thousands of 51 KB blocks, so the wire format matters.
 //
-// On a little-endian host the wire payload *is* the block's memory, so a
-// block moves between Block.Data and the stream with no staging copy: the
-// writer hands the stream a byte view of Data, the reader fills Data straight
-// from the stream. Two consequences for callers. A block being sent is read
-// by the Write itself, so it may be recycled or overwritten only after the
-// send that carried it has returned (with a buffered writer: after the
-// Flush). A decode that fails midway leaves its destination partially
-// written: a pool-born one goes back to the pool, a caller-supplied one
-// (ReadBlocksInto) is the caller's to discard. Big-endian hosts, and cold
-// decodes of blocks above coldScratch, convert through the scratch buffer.
+// On a little-endian host the payload *is* the block's memory, so it moves
+// between Block.Data and the stream with no staging copy. Two consequences. A
+// block being sent is read by the Write itself: recycle or overwrite it only
+// after the send that carried it has returned. A decode that fails midway
+// leaves its destination partially written: a pool-born one goes back to the
+// pool, a caller-supplied one (ReadBlocksInto) is the caller's to discard.
+// Big-endian hosts, and cold decodes of blocks above coldScratch, convert
+// through the codec's scratch buffer.
 
 const blockMagic = 0x424c4b31 // "BLK1"
 
-// hostLittleEndian gates the zero-staging path; the tests clear it to force
-// the portable conversion loop and compare bytes.
+// hostLittleEndian gates the zero-staging path; tests clear it to force the
+// portable conversion loop and compare bytes.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// floatBytes views data's memory as bytes — its wire image on a little-endian
-// host. The only unsafe in the repo: the view aliases data and must not
-// outlive it.
+// floatBytes views data's memory as bytes, its wire image on a little-endian
+// host. The only unsafe in the repo; the view must not outlive data.
 func floatBytes(data []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 8*len(data))
 }
 
 // BlockCodec serializes and deserializes framed blocks, optionally drawing
-// decoded blocks from a BlockPool. The zero value works as a one-shot codec.
-// Its scratch buffer is touched only where the payload cannot move in place
-// (see above); a long-lived codec per connection with a pool reuses the
-// blocks themselves, so a steady-state transfer loop performs no allocation
-// at all.
+// decoded blocks from a BlockPool. The zero value works as a one-shot codec;
+// a long-lived codec per connection with a pool reuses the blocks themselves
+// (and, where it must convert, one scratch buffer), so a steady-state
+// transfer loop performs no allocation at all.
 //
 // A BlockCodec is not safe for concurrent use; give each goroutine (or each
 // connection direction) its own.
@@ -75,9 +71,8 @@ func (c *BlockCodec) WriteBlock(w io.Writer, b *Block) error {
 	return nil
 }
 
-// WritePayload writes data's little-endian image — a block's wire payload,
-// without the header — to w with a single Write. Panel digests hash blocks
-// through it, so what is hashed is what is shipped.
+// WritePayload writes data's little-endian image — a block's payload without
+// the header — to w with a single Write. Panel digests hash blocks through it.
 func (c *BlockCodec) WritePayload(w io.Writer, data []float64) error {
 	buf := floatBytes(data)
 	if !hostLittleEndian {
@@ -90,43 +85,36 @@ func (c *BlockCodec) WritePayload(w io.Writer, data []float64) error {
 	return err
 }
 
-// readHeader reads one block header and returns the edge it declares, refused
-// unless plausible — before anything is allocated or taken from a pool.
-func readHeader(r io.Reader) (int, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("matrix: read block header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != blockMagic {
-		return 0, fmt.Errorf("matrix: bad block magic %#x", m)
-	}
-	q := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if q <= 0 || q > 1<<14 {
-		return 0, fmt.Errorf("matrix: implausible block edge %d", q)
-	}
-	return q, nil
-}
-
 // ReadBlock deserializes one framed block from r. With a Pool set, the
 // returned block is recycled rather than freshly allocated; every element is
 // overwritten, so stale pool contents never leak through.
-func (c *BlockCodec) ReadBlock(r io.Reader) (*Block, error) {
-	q, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	return c.readPayload(r, q, nil)
-}
+func (c *BlockCodec) ReadBlock(r io.Reader) (*Block, error) { return c.readBlock(r, nil) }
 
 // coldScratch is the largest payload a decode makes room for on the header's
 // word alone; every real block (q ≤ 362) is below it.
 const coldScratch = 1 << 20
 
-// readPayload reads a q×q payload into dst, or into a block from the pool
-// when dst is nil, which goes back on a failed read. Up to coldScratch the
-// bytes land in the block directly; above it (and on big-endian hosts) they
-// are staged and converted, and a pool block is taken only once they are in.
-func (c *BlockCodec) readPayload(r io.Reader, q int, dst *Block) (*Block, error) {
+// readBlock reads one framed block into dst or, when dst is nil, into a pool
+// block, which goes back on a failed read. The edge the header declares is
+// refused unless plausible (and dst's) before anything is taken or stored. Up
+// to coldScratch the payload lands in the block directly; above it (and on
+// big-endian hosts) it is staged and converted, and a pool block is taken only
+// once it is in.
+func (c *BlockCodec) readBlock(r io.Reader, dst *Block) (*Block, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("matrix: read block header: %w", err)
+	}
+	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != blockMagic {
+		return nil, fmt.Errorf("matrix: bad block magic %#x", m)
+	}
+	q := int(binary.LittleEndian.Uint32(hdr[4:8]))
+	if q <= 0 || q > 1<<14 {
+		return nil, fmt.Errorf("matrix: implausible block edge %d", q)
+	}
+	if dst != nil && (dst.Q != q || len(dst.Data) != q*q) {
+		return nil, fmt.Errorf("matrix: block of edge %d on the wire, its destination has edge %d", q, dst.Q)
+	}
 	n := 8 * q * q
 	if hostLittleEndian && n <= coldScratch {
 		b := dst
@@ -220,10 +208,9 @@ func (c *BlockCodec) ReadBlocks(r io.Reader) ([]*Block, error) {
 	return blocks, nil
 }
 
-// ReadBlocksInto deserializes a block list written by WriteBlocks into the
-// blocks the caller already owns, in order. A list of another length is
-// refused before a byte of dst is stored, a block of another edge before that
-// block is; an error past that point leaves dst partially overwritten.
+// ReadBlocksInto is ReadBlocks into the blocks the caller already owns. A list
+// of another length is refused before a byte of dst is stored, a block of
+// another edge before that block is.
 func (c *BlockCodec) ReadBlocksInto(r io.Reader, dst []*Block) error {
 	n, err := readCount(r)
 	if err != nil {
@@ -233,14 +220,10 @@ func (c *BlockCodec) ReadBlocksInto(r io.Reader, dst []*Block) error {
 		return fmt.Errorf("matrix: %d blocks on the wire for a destination of %d", n, len(dst))
 	}
 	for i, b := range dst {
-		q, err := readHeader(r)
-		if err != nil {
-			return err
+		if b == nil {
+			return fmt.Errorf("matrix: destination block %d is nil", i)
 		}
-		if b == nil || q != b.Q || len(b.Data) != q*q {
-			return fmt.Errorf("matrix: block %d has edge %d on the wire, its destination does not", i, q)
-		}
-		if _, err := c.readPayload(r, q, b); err != nil {
+		if _, err := c.readBlock(r, b); err != nil {
 			return err
 		}
 	}

@@ -10,6 +10,8 @@ import (
 // runtimes move thousands of them per run — one per installment panel, per
 // chunk clone, per codec read. The pool keeps one sync.Pool per block edge,
 // created on first use, so mixed-q workloads (tests, LU panels) coexist.
+// The runtimes share one instance, SharedPool; benchmarks and tests make
+// their own.
 //
 // The zero value is ready to use, and all methods are safe for concurrent
 // use. A nil *BlockPool is also valid: Get falls back to a fresh allocation
@@ -36,15 +38,14 @@ func (p *BlockPool) Get(q int) *Block {
 	return p.pool(q).Get().(*Block)
 }
 
-// poison makes Put overwrite the block with NaN, so a reader that still holds
-// a recycled block computes garbage — a bitwise-C failure in the suites —
-// instead of passing by luck. Set only by the poisonpool build tag (CI runs
-// the bitwise suites under it); the race detector cannot see this class of
-// bug, since Put and Get are synchronized.
-var poison = false
+// poison makes Put overwrite the block with NaN, so a reader still holding a
+// recycled block fails the bitwise suites instead of passing by luck. Set only
+// by the poisonpool build tag; the race detector cannot see this class of bug,
+// Put and Get being synchronized.
+var poison bool
 
 // Put recycles b for a future Get of the same edge. The caller must hold no
-// other reference to b; nil is ignored.
+// other reference to b — a send of b still in progress counts; nil is ignored.
 func (p *BlockPool) Put(b *Block) {
 	if p == nil || b == nil {
 		return
@@ -69,10 +70,9 @@ func (p *BlockPool) PutAll(blocks []*Block) {
 }
 
 // SharedPool is the one process-wide pool of the real runtimes. Every block
-// that exists only for the length of a job or a transfer is born here and
-// comes back here: the daemon's submit decode (a job's A, B and C, returned at
-// lease end), the engine's chunk snapshots and the master link's result
-// carriers (returned as soon as sent or landed), a worker session's chunk and
-// installment blocks. Blocks that change owner for good — panels a worker
-// cache absorbs — simply never come back.
+// that exists only for a job or a transfer is born and ends here: the daemon's
+// submit decode (a job's A, B and C, returned at lease end), the engine's chunk
+// snapshots and the master link's result carriers (returned as soon as sent or
+// landed), a worker session's chunk and installment blocks. Blocks that change
+// owner for good — panels a worker cache absorbs — never come back.
 var SharedPool BlockPool

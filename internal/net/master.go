@@ -114,9 +114,7 @@ func DialWorkerContext(ctx context.Context, addr string, opts *MasterOptions) (*
 	}
 	conn = obs.CountConn(conn, mSentTo.With(addr), mRecvFrom.With(addr))
 	l := &link{conn: conn, rd: bufio.NewReaderSize(conn, 1<<16), wr: bufio.NewWriterSize(conn, 1<<16)}
-	// Result blocks are carriers: the engine copies them into C and recycles
-	// them (see engine.CopyingBackend).
-	l.dec.Pool = &matrix.SharedPool
+	l.dec.Pool = &matrix.SharedPool // results are carriers, see engine.CopyingBackend
 	conn.SetReadDeadline(deadlineWithin(ctx, o.DialTimeout))
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	hello, err := ReadMsg(l.rd, nil)

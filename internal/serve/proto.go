@@ -30,6 +30,11 @@ import (
 // still queue behind others), then, when the job completes, a result frame
 // carrying the updated C (or an error frame). A status connection sends one
 // status frame and gets the service snapshot as JSON.
+//
+// Block ownership: the daemon draws a submit frame's blocks from
+// matrix.SharedPool and returns them when the connection's handler ends — for
+// an admitted job, after Wait. The client writes the submit frame from the
+// caller's matrices and decodes the result in place, into the caller's C.
 
 // clientKind labels client-protocol frames.
 type clientKind uint8
@@ -241,10 +246,10 @@ func (s *Server) handleClient(conn net.Conn) {
 		s.log.Warn("client request failed", "client", conn.RemoteAddr().String(), "err", err)
 		return
 	}
-	// The frame's blocks are pool-born and go back when this handler returns.
-	// For a submission that is after Wait: the job is terminal, its dispatch
-	// goroutines have joined and its lease is back with the fleet, so nothing
-	// can still reach A, B or C — and the reply, which reads C, is flushed.
+	// The frame's blocks go back to the pool when this handler returns. For a
+	// submission that is after Wait — dispatch goroutines joined, lease back
+	// with the fleet, so nothing can still reach A, B or C — and after the
+	// reply, which reads C, is flushed.
 	defer matrix.SharedPool.PutAll(msg.Blocks)
 	switch msg.Kind {
 	case cStatus:
@@ -352,11 +357,10 @@ func (s *Server) handleClient(conn net.Conn) {
 const cancelGrace = 10 * time.Second
 
 // SubmitProduct is the client side of one submission: it ships A, B and C to
-// the daemon at addr, waits for the job to run, and returns c — updated in
-// place: the result frame is decoded straight into c's blocks — and the job
-// id. A submission that fails before the result frame arrives leaves c
-// untouched; one that fails while the result is being read leaves it
-// partially overwritten. The dial, the upload, and the wait for the result are all
+// the daemon at addr, waits for the job to run, and returns c — the result
+// frame is decoded straight into its blocks — and the job id. A failure before
+// the result frame arrives leaves c untouched, one while it is being read
+// leaves c partially overwritten. The dial, the upload, and the wait for the result are all
 // bounded by ctx's deadline — there is no hidden fixed dial budget that can
 // outlive the caller's (no deadline: the job may legitimately queue for a
 // while). If ctx is cancelled while the job queues or runs, a cancel frame is

@@ -300,10 +300,9 @@ func (c *Codec) Digests(v *[]cache.Digest, max int) {
 }
 
 // Blocks moves a block list through the frame's BlockCodec, straight between
-// the connection and the blocks' own memory. A decoding walk that finds *v
-// already filled decodes in place, into the blocks the caller owns — a list
-// of another length or a block of another edge is refused before it is
-// stored; an empty *v is filled from the codec's pool.
+// the connection and the blocks' own memory. A decoding walk fills an empty
+// *v from the codec's pool and decodes into a filled one in place — a list of
+// another length or a block of another edge is refused before it is stored.
 func (c *Codec) Blocks(v *[]*matrix.Block) {
 	if c.bc == nil {
 		c.bc = &matrix.BlockCodec{}

@@ -379,10 +379,9 @@ func WithClass(name string) SubmitOption {
 // whichever comes first. Waiting is separate: use Job.Wait or Job.Done.
 //
 // A job that fails or is canceled may leave C partially updated, on every
-// runtime. On Remote the daemon's reply is decoded straight into C: a job
-// that fails before the result frame arrives leaves C untouched, one that
-// fails while the result is being read (a connection lost mid-reply) leaves
-// C partially overwritten.
+// runtime. On Remote the daemon's reply is decoded straight into C: a job that
+// fails before the result frame arrives leaves C untouched, one that fails
+// while it is being read (connection lost mid-reply) leaves C overwritten in part.
 func (s *Session) Submit(ctx context.Context, a, b any, c *Matrix, opts ...SubmitOption) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()

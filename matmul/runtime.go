@@ -423,8 +423,7 @@ func (s *remoteSession) run(ctx context.Context, j *Job, ah, bh *Operand, c *Mat
 	if s.cacheOn {
 		jp = jobPanels(ah, bh)
 	}
-	// The daemon's reply is decoded straight into c's blocks: the in-place
-	// contract costs no copy on this runtime either.
+	// The daemon's reply is decoded straight into c's blocks.
 	_, id, err := serve.SubmitProduct(ctx, s.addr, a, b, c, jp, j.class)
 	if id != 0 {
 		j.setRemoteID(id)
