@@ -14,6 +14,10 @@
 //     pinned — the have/need handshake promises them to the master for the
 //     job's duration, so eviction may only take unpinned entries (the cache
 //     can transiently exceed its budget rather than break that promise).
+//     Every per-job operation costs O(panels the job queries or installs),
+//     whatever is resident, and an evicted panel's blocks go back to
+//     matrix.SharedPool, where the worker's next install decode finds them:
+//     a full cache under all-miss traffic allocates nothing per job.
 //   - Registry: the master-side advisory resident-set tracker the scheduler
 //     scores affinity with. It is deliberately *not* trusted for transfer
 //     skipping — the per-job have/need handshake is the only authority on
@@ -131,14 +135,14 @@ func (jp *JobPanels) Digests() []Digest {
 	return out
 }
 
-// entry is one cached panel. blocks are owned by the cache: they were
-// absorbed off the wire (never returned to any block pool) and eviction
-// simply drops them to the garbage collector.
+// entry is one cached panel. blocks are owned by the cache from Install until
+// eviction hands them to the pool. The entry is pinned while epoch equals the
+// cache's.
 type entry struct {
 	d      Digest
 	blocks []*matrix.Block
 	bytes  int64
-	pinned bool
+	epoch  uint64
 	elem   *list.Element
 }
 
@@ -154,21 +158,33 @@ type Stats struct {
 
 // PanelCache is the worker-side panel store: a byte-budgeted LRU keyed by
 // digest, shared by every session a worker daemon serves (the whole point —
-// panels survive lease boundaries). All methods are safe for concurrent use,
-// though the worker protocol drives it from one consumer goroutine.
+// panels survive lease boundaries). The methods lock, so a Snapshot may come
+// from anywhere, but a cache serves one session's pin epoch at a time:
+// BeginJob and UnpinAll end every earlier pin, whoever took it, so sessions
+// must use the cache one after the other (net.Serve does).
 //
 // Pinning is the correctness contract with the master: BeginJob pins every
 // queried panel that is present (the have/need answer promises them for the
-// job) and Install pins what the job promotes (the master marks them
-// resident the moment the chunk's result lands). Eviction never takes a
-// pinned entry — a cache whose pinned set exceeds the budget runs over
-// budget until UnpinAll, rather than break a promise mid-job.
+// job), Install pins what the job promotes (the master marks them resident the
+// moment the chunk's result lands) and Get pins what it returns. An entry is
+// pinned while its epoch equals the cache's, so ending every pin is one
+// increment. Eviction never takes a pinned entry — a cache whose pinned set
+// exceeds the budget runs over budget until UnpinAll, rather than break a
+// promise mid-job.
+//
+// Block ownership: Install moves the blocks to the cache, and eviction puts
+// them into matrix.SharedPool, from where any decode in the process may take
+// and overwrite them at once. Only unpinned entries are evicted, so blocks
+// obtained from Get are valid until the pin epoch ends — the next BeginJob or
+// UnpinAll — and must not be read after it.
 type PanelCache struct {
 	mu      sync.Mutex
 	budget  int64
 	bytes   int64
+	epoch   uint64
 	ll      *list.List // front = most recently used
 	entries map[Digest]*entry
+	pool    *matrix.BlockPool // where evicted blocks go
 
 	hits, misses, evictions int64
 }
@@ -176,7 +192,13 @@ type PanelCache struct {
 // NewPanelCache returns a cache bounded to budget payload bytes (≤0: an
 // unbounded cache — useful in tests, unwise on a real worker).
 func NewPanelCache(budget int64) *PanelCache {
-	return &PanelCache{budget: budget, ll: list.New(), entries: make(map[Digest]*entry)}
+	return &PanelCache{budget: budget, ll: list.New(), entries: make(map[Digest]*entry), pool: &matrix.SharedPool}
+}
+
+// pinLocked pins e for the current epoch and marks it most recently used.
+func (c *PanelCache) pinLocked(e *entry) {
+	e.epoch = c.epoch
+	c.ll.MoveToFront(e.elem)
 }
 
 // BeginJob starts a job's pin epoch: previous pins are dropped, then each
@@ -186,7 +208,7 @@ func NewPanelCache(budget int64) *PanelCache {
 func (c *PanelCache) BeginJob(ds []Digest) (have []bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.unpinAllLocked()
+	c.epoch++
 	have = make([]bool, len(ds))
 	for i, d := range ds {
 		e, ok := c.entries[d]
@@ -195,17 +217,17 @@ func (c *PanelCache) BeginJob(ds []Digest) (have []bool) {
 			continue
 		}
 		c.hits++
-		e.pinned = true
-		c.ll.MoveToFront(e.elem)
+		c.pinLocked(e)
 		have[i] = true
 	}
 	c.evictLocked()
 	return have
 }
 
-// Get returns the resident panel's blocks (nil when absent). The blocks
-// remain cache-owned: callers may read them as kernel inputs but must never
-// mutate them or hand them to a block pool.
+// Get returns the resident panel's blocks (nil when absent) and pins the
+// panel, so the blocks stay valid until the pin epoch ends. They remain
+// cache-owned: callers may read them as kernel inputs but must never mutate
+// them or hand them to a block pool.
 func (c *PanelCache) Get(d Digest) []*matrix.Block {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -213,7 +235,7 @@ func (c *PanelCache) Get(d Digest) []*matrix.Block {
 	if !ok {
 		return nil
 	}
-	c.ll.MoveToFront(e.elem)
+	c.pinLocked(e)
 	return e.blocks
 }
 
@@ -232,11 +254,10 @@ func (c *PanelCache) Install(d Digest, blocks []*matrix.Block) (absorbed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[d]; ok {
-		e.pinned = true
-		c.ll.MoveToFront(e.elem)
+		c.pinLocked(e)
 		return false
 	}
-	e := &entry{d: d, blocks: blocks, bytes: bytes, pinned: true}
+	e := &entry{d: d, blocks: blocks, bytes: bytes, epoch: c.epoch}
 	e.elem = c.ll.PushFront(e)
 	c.entries[d] = e
 	c.bytes += bytes
@@ -249,19 +270,13 @@ func (c *PanelCache) Install(d Digest, blocks []*matrix.Block) (absorbed bool) {
 func (c *PanelCache) UnpinAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.unpinAllLocked()
+	c.epoch++
 	c.evictLocked()
 }
 
-func (c *PanelCache) unpinAllLocked() {
-	for e := c.ll.Front(); e != nil; e = e.Next() {
-		e.Value.(*entry).pinned = false
-	}
-}
-
 // evictLocked drops least-recently-used unpinned entries until the cache
-// fits its budget. Evicted blocks are simply unreferenced — they were never
-// pool-owned, so the garbage collector reclaims them.
+// fits its budget, recycling their blocks. Pinning moves an entry to the
+// front, so the walk from the back meets the unpinned ones first.
 func (c *PanelCache) evictLocked() {
 	if c.budget <= 0 {
 		return
@@ -269,11 +284,12 @@ func (c *PanelCache) evictLocked() {
 	for e := c.ll.Back(); e != nil && c.bytes > c.budget; {
 		ent := e.Value.(*entry)
 		prev := e.Prev()
-		if !ent.pinned {
+		if ent.epoch != c.epoch {
 			c.ll.Remove(e)
 			delete(c.entries, ent.d)
 			c.bytes -= ent.bytes
 			c.evictions++
+			c.pool.PutAll(ent.blocks)
 		}
 		e = prev
 	}

@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -90,6 +93,14 @@ func dig(seed int64) Digest {
 	return d
 }
 
+// seqDigest is the n-th of a sequence of distinct digests, for tests that
+// need more of them than dig can seed quickly.
+func seqDigest(n int) Digest {
+	var d Digest
+	binary.LittleEndian.PutUint64(d[:], uint64(n))
+	return d
+}
+
 func TestPanelCacheLRUEviction(t *testing.T) {
 	q, depth := 4, 2
 	panelBytes := PanelDataBytes(q, depth) // 256 bytes
@@ -173,12 +184,193 @@ func TestPanelCacheInstallDuplicate(t *testing.T) {
 	if !c.Install(d, first) {
 		t.Fatal("first install should absorb")
 	}
-	if c.Install(d, panelBlocks(4, 2, 2)) {
+	spare := panelBlocks(4, 2, 2)
+	want := spare[0].Clone()
+	if c.Install(d, spare) {
 		t.Fatal("duplicate install must not absorb")
 	}
 	got := c.Get(d)
 	if len(got) != 2 || got[0] != first[0] {
 		t.Fatal("duplicate install replaced the resident blocks")
+	}
+
+	// The refused blocks stayed with the caller: evicting the entry recycles
+	// the resident blocks and only those.
+	var pool matrix.BlockPool
+	c.pool, c.budget = &pool, 1
+	c.UnpinAll()
+	if st := c.Snapshot(); st.Panels != 0 {
+		t.Fatalf("entry survived a 1-byte budget: %+v", st)
+	}
+	if !spare[0].Equal(want, 0) {
+		t.Error("eviction overwrote blocks a duplicate install left with the caller")
+	}
+	for _, b := range drain(&pool, 4, 4) {
+		if b == spare[0] || b == spare[1] {
+			t.Error("the pool holds blocks a duplicate install left with the caller")
+		}
+	}
+}
+
+// drain takes n blocks of edge q out of pool: whatever it holds, then fresh
+// ones.
+func drain(pool *matrix.BlockPool, q, n int) []*matrix.Block {
+	out := make([]*matrix.Block, n)
+	for i := range out {
+		out[i] = pool.Get(q)
+	}
+	return out
+}
+
+// poisoned reports whether this build's pools overwrite what they take back
+// (-tags poisonpool).
+func poisoned() bool {
+	var pool matrix.BlockPool
+	b := matrix.NewBlock(1)
+	pool.Put(b)
+	return math.IsNaN(b.Data[0])
+}
+
+// TestPanelCacheEvictionRecycles: an evicted panel's blocks go to the pool —
+// that is what keeps a full cache under all-miss traffic off the allocator —
+// and a pinned panel's never do, because the job that pinned it may be reading
+// them.
+func TestPanelCacheEvictionRecycles(t *testing.T) {
+	q, depth := 4, 2
+	panelBytes := PanelDataBytes(q, depth)
+	var pool matrix.BlockPool
+	c := NewPanelCache(2 * panelBytes)
+	c.pool = &pool
+
+	// Eight dead panels from an earlier epoch, two pinned by the handshake,
+	// two installed by the job: 12 panels in a 2-panel budget.
+	dead := make(map[*matrix.Block]bool)
+	live := make(map[*matrix.Block]*matrix.Block) // block → its content when installed
+	install := func(seed int64, into func(*matrix.Block)) {
+		blocks := panelBlocks(q, depth, seed)
+		for _, b := range blocks {
+			into(b)
+		}
+		c.Install(dig(seed), blocks)
+	}
+	keep := func(b *matrix.Block) { live[b] = b.Clone() }
+	install(1, keep)
+	install(2, keep)
+	for seed := int64(10); seed < 18; seed++ {
+		install(seed, func(b *matrix.Block) { dead[b] = true })
+	}
+	if st := c.Snapshot(); st.Evictions != 0 {
+		t.Fatalf("evicted inside the installing epoch: %+v", st)
+	}
+	c.BeginJob([]Digest{dig(1), dig(2)})
+	install(3, keep)
+	install(4, keep)
+
+	if st := c.Snapshot(); st.Evictions != 8 || st.Panels != 4 || st.Bytes != 4*panelBytes {
+		t.Fatalf("want the 8 unpinned panels evicted and the 4 pinned resident: %+v", st)
+	}
+	for b, want := range live {
+		if !b.Equal(want, 0) {
+			t.Fatal("a pinned panel's block was overwritten")
+		}
+	}
+	back := 0
+	for _, b := range drain(&pool, q, len(dead)+len(live)) {
+		if live[b] != nil {
+			t.Fatal("a pinned panel's block reached the pool")
+		}
+		if dead[b] {
+			back++
+		}
+	}
+	// sync.Pool may drop a Put (it does at random under -race), so not every
+	// block need come back; that none of 16 does means eviction put none.
+	if back == 0 {
+		t.Errorf("none of the %d evicted blocks reached the pool", len(dead))
+	}
+	if poisoned() {
+		for b := range dead {
+			if !math.IsNaN(b.Data[0]) {
+				t.Fatal("an evicted block was not recycled")
+			}
+		}
+	}
+}
+
+// TestPanelCachePinsEndWithTheEpoch: a pin taken by BeginJob's answer, by
+// Install or by Get holds until the next BeginJob or UnpinAll and no longer.
+func TestPanelCachePinsEndWithTheEpoch(t *testing.T) {
+	q, depth := 4, 2
+	panelBytes := PanelDataBytes(q, depth)
+	enders := map[string]func(*PanelCache){
+		"BeginJob": func(c *PanelCache) { c.BeginJob(nil) },
+		"UnpinAll": (*PanelCache).UnpinAll,
+	}
+	for name, end := range enders {
+		t.Run(name, func(t *testing.T) {
+			c := NewPanelCache(panelBytes)
+			c.pool = new(matrix.BlockPool)
+			for seed := int64(1); seed <= 3; seed++ {
+				c.Install(dig(seed), panelBlocks(q, depth, seed))
+			}
+			end(c) // LRU order: 1 goes first, 3 stays
+			if st := c.Snapshot(); st.Panels != 1 || c.Get(dig(3)) == nil {
+				t.Fatalf("want only the newest panel resident: %+v", st)
+			}
+
+			// One pin of each kind, all over budget together.
+			c.BeginJob([]Digest{dig(3)})
+			c.Install(dig(4), panelBlocks(q, depth, 4))
+			end(c)
+			c.Install(dig(5), panelBlocks(q, depth, 5))
+			if st := c.Snapshot(); st.Panels != 1 || c.Get(dig(5)) == nil {
+				t.Fatalf("pins of the ended epoch still hold: %+v", st)
+			}
+			end(c)
+			if c.Get(dig(5)) == nil { // unpinned, and pinned again by this Get
+				t.Fatal("newest panel lost")
+			}
+			c.Install(dig(6), panelBlocks(q, depth, 6))
+			if st := c.Snapshot(); st.Panels != 2 || st.Bytes != 2*panelBytes {
+				t.Fatalf("a panel handed out by Get was evicted inside its epoch: %+v", st)
+			}
+			end(c)
+			if st := c.Snapshot(); st.Bytes > panelBytes {
+				t.Fatalf("over budget after the epoch ended: %+v", st)
+			}
+		})
+	}
+}
+
+// BenchmarkPanelCacheBeginJob times one job's cache traffic — a handshake
+// that misses, 15 installs, the evictions they force — against a full cache.
+// The rows must read alike: the cost follows the panels the job touches, not
+// the panels resident.
+func BenchmarkPanelCacheBeginJob(b *testing.B) {
+	const jobPanels = 15
+	for _, resident := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("resident=%dk", resident>>10), func(b *testing.B) {
+			c := NewPanelCache(int64(resident) * PanelDataBytes(1, 1))
+			c.pool = nil // blocks are shared below; a nil pool discards
+			blocks := []*matrix.Block{matrix.NewBlock(1)}
+			n := 0
+			for ; n < resident; n++ {
+				c.Install(seqDigest(n), blocks)
+			}
+			ds := make([]Digest, jobPanels)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range ds {
+					ds[k] = seqDigest(n)
+					n++
+				}
+				c.BeginJob(ds)
+				for _, d := range ds {
+					c.Install(d, blocks)
+				}
+			}
+		})
 	}
 }
 
@@ -247,6 +439,48 @@ func TestRegistry(t *testing.T) {
 	}
 	if f := r.Fraction(1, jp); f != 0.5 {
 		t.Fatalf("unrelated worker lost residency: %v", f)
+	}
+}
+
+// TestRegistryIsBounded: panels nobody submits again are never queried again,
+// so only the cap keeps a long-running daemon's registry from growing with
+// every digest it ever shipped.
+func TestRegistryIsBounded(t *testing.T) {
+	r := NewRegistry()
+	const perJob = 256
+	var last []Digest
+	for n := 0; n < 10*registryCap; n += perJob {
+		have := make(map[Digest]int64, perJob)
+		last = last[:0]
+		for k := 0; k < perJob; k++ {
+			have[seqDigest(n+k)] = 8
+			last = append(last, seqDigest(n+k))
+		}
+		r.Absorb(0, have, last)
+	}
+	panels, bytes := r.Resident(0)
+	if panels != registryCap || bytes != 8*registryCap {
+		t.Fatalf("resident (%d, %d) after absorbing %d digests, want the cap (%d, %d)", panels, bytes, 10*registryCap, registryCap, 8*registryCap)
+	}
+	if set := r.res[0]; len(set.elems) != registryCap || set.order.Len() != registryCap {
+		t.Fatalf("registry holds %d map entries and %d list entries, cap %d", len(set.elems), set.order.Len(), registryCap)
+	}
+	if f := r.Fraction(0, &JobPanels{ARows: last}); f != 1 {
+		t.Errorf("the digests absorbed last score %v, want 1", f)
+	}
+	if f := r.Fraction(0, &JobPanels{ARows: []Digest{seqDigest(0)}}); f != 0 {
+		t.Errorf("the digest absorbed first still scores %v", f)
+	}
+
+	// Absorbing a digest again makes it the newest, so traffic that keeps
+	// using an operand keeps its panels however much passes through.
+	r.Absorb(0, map[Digest]int64{last[0]: 8}, last[:1])
+	for n := 0; n < registryCap-1; n++ {
+		d := seqDigest(1<<40 + n)
+		r.Absorb(0, map[Digest]int64{d: 8}, []Digest{d})
+	}
+	if f := r.Fraction(0, &JobPanels{ARows: last[:2]}); f != 0.5 {
+		t.Errorf("fraction %v, want 0.5: the re-absorbed digest kept, its neighbour trimmed", f)
 	}
 }
 

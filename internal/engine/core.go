@@ -250,6 +250,9 @@ func Dispatch(ctx context.Context, t int, plan []sim.PlanOp, a, b, c *matrix.Blo
 	close(done)
 	joins.Wait() // no join can start a goroutine past this point
 	x.wg.Wait()
+	if x.gate != nil {
+		x.gate.dropParities()
+	}
 	// Read the error only now: a laggard that failed fatally after the last
 	// commit leaves its link tainted, and the caller must hear about it.
 	x.mu.Lock()

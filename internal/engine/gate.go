@@ -253,6 +253,21 @@ func (g *kofnGate) commit(u unit, blocks []*matrix.Block) (int, error) {
 	return 0, nil
 }
 
+// dropParities recycles the parity results still held for a decode, once the
+// run is over and every dispatch goroutine has returned (Reconstruct works on
+// clones, so nothing else refers to them).
+func (g *kofnGate) dropParities() {
+	if !g.carriers {
+		return
+	}
+	for _, pg := range g.groups {
+		for _, blocks := range pg.results {
+			matrix.SharedPool.PutAll(blocks)
+		}
+		pg.results = nil
+	}
+}
+
 // lost reports whether an in-flight unit's outcome can no longer matter:
 // copies of a job lose when it commits; parity units only once everything
 // committed (a parity that lands while other groups are still open is at

@@ -73,6 +73,9 @@ func (p *BlockPool) PutAll(blocks []*Block) {
 // that exists only for a job or a transfer is born and ends here: the daemon's
 // submit decode (a job's A, B and C, returned at lease end), the engine's chunk
 // snapshots and the master link's result carriers (returned as soon as sent or
-// landed), a worker session's chunk and installment blocks. Blocks that change
-// owner for good — panels a worker cache absorbs — never come back.
+// landed), a worker session's chunk and installment blocks. The panels a worker
+// cache absorbs leave the cycle only while they are resident: eviction puts
+// them back (see cache.PanelCache for why no reader can still hold one), so a
+// full cache fed panels it has never seen decodes each into the blocks of the
+// one it displaced.
 var SharedPool BlockPool

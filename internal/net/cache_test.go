@@ -1,7 +1,9 @@
 package net
 
 import (
+	"bufio"
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -241,5 +243,62 @@ func TestCacheCrashFailoverStaysCorrect(t *testing.T) {
 	m.EndJob()
 	if d := cNet.MaxAbsDiff(cEng); d != 0 {
 		t.Errorf("failover C differs from in-process C by %g (want bitwise equal)", d)
+	}
+}
+
+// TestSessionExitRecyclesHeldBlocks: a master that vanishes mid-chunk leaves
+// the worker holding a chunk and half-streamed panels, and the session's exit
+// returns them to the pool like every other path. The block edge is one no
+// other test of this package uses, so whatever matrix.SharedPool holds at
+// that edge afterwards came from this session.
+func TestSessionExitRecyclesHeldBlocks(t *testing.T) {
+	const q = 13
+	master, worker := net.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeConn(worker, "w", WorkerOptions{Heartbeat: time.Hour, Cache: cache.NewPanelCache(0)})
+	}()
+	rd := bufio.NewReader(master)
+	if _, err := ReadMsg(rd, nil); err != nil { // hello
+		t.Fatal(err)
+	}
+	blocks := func(n int) []*matrix.Block {
+		out := make([]*matrix.Block, n)
+		for i := range out {
+			out[i] = matrix.NewBlock(q)
+			for k := range out[i].Data {
+				out[i].Data[k] = 1
+			}
+		}
+		return out
+	}
+	// A 2×2 chunk, then the first of two installments of a depth-2 job, all
+	// four panels new to the cache: 4 chunk blocks held, 4 panel blocks
+	// pending, none of them promoted.
+	ch := matrix.Chunk{Row0: 0, Col0: 0, H: 2, W: 2}
+	refs := func(base byte) []PanelRef { return []PanelRef{{D: cache.Digest{base}}, {D: cache.Digest{base + 1}}} }
+	for _, m := range []*Msg{
+		{Kind: MsgChunk, Chunk: ch, Blocks: blocks(4)},
+		{Kind: MsgInstall, Chunk: ch, K0: 0, K1: 1, T: 2, ARefs: refs(1), BRefs: refs(3), Blocks: blocks(4)},
+	} {
+		if err := WriteMsg(master, m, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	master.Close()
+	if err := <-done; err == nil {
+		t.Fatal("session ended cleanly although the master vanished mid-chunk")
+	}
+
+	// A fresh block is all zeros; a recycled one still holds the ones sent
+	// (NaN under -tags poisonpool). sync.Pool may drop some Puts, not all 8.
+	recycled := 0
+	for i := 0; i < 8; i++ {
+		if b := matrix.SharedPool.Get(q); b.Data[0] != 0 {
+			recycled++
+		}
+	}
+	if recycled == 0 {
+		t.Error("none of the 8 blocks the session held reached the pool")
 	}
 }

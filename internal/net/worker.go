@@ -141,6 +141,13 @@ func ServeOne(ln net.Listener, name string, opts WorkerOptions) error {
 // in-memory queue, so the socket keeps emptying while an installment
 // computes — the master's sends never block behind this worker's compute,
 // exactly the buffered-installment overlap of the paper's memory layout.
+//
+// Every block the reader decodes comes from matrix.SharedPool and goes back:
+// chunk blocks once their result is flushed, installment blocks once applied,
+// and the ones the panel cache absorbed when the cache evicts them. Panels
+// served from the cache are read only inside the pin epoch the master's
+// handshake opened (see cache.PanelCache), and sessions share opts.Cache one
+// after the other, as Serve runs them.
 func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 	conn = obs.CountConn(conn, wSent, wRecv)
 	defer conn.Close()
@@ -256,19 +263,23 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 	// pending accumulates the current chunk's freshly-streamed panels, keyed
 	// by digest: each digest-addressed installment contributes its k-range,
 	// and the chunk's flush promotes every fully-covered panel into the
-	// cache. Pending blocks change owner — absorbed off the wire, they are
-	// never returned to the pool (the cache, or the GC on discard, reclaims
-	// them).
+	// cache, which owns the blocks until it evicts them back to the pool.
 	pending := make(map[cache.Digest]*pendingPanel)
-	// discardPending recycles what it can of an abandoned pending set (a new
-	// handshake arriving mid-accumulation; a session error path does not
-	// bother).
+	// discardPending recycles an abandoned pending set: a new handshake or a
+	// cancel arriving mid-accumulation, or the session ending.
 	discardPending := func() {
 		for dg, ent := range pending {
-			pool.PutAll(ent.compact())
+			pool.PutAll(ent.blocks)
 			delete(pending, dg)
 		}
 	}
+	// However the session ends — a master that vanishes mid-chunk included —
+	// the held chunk and the pending panels go back to the pool: this loop is
+	// their only reader.
+	defer func() {
+		discardPending()
+		pool.PutAll(blocks)
+	}()
 	installs := 0
 	for {
 		f := <-frames
@@ -297,13 +308,14 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 			if err != nil {
 				return fmt.Errorf("net: worker %s: %w", name, err)
 			}
-			if err := engine.ApplyInstallmentParallel(cur, blocks, am, bm, msg.K1-msg.K0, opts.Procs); err != nil {
-				return fmt.Errorf("net: worker %s: %w", name, err)
-			}
+			err = engine.ApplyInstallmentParallel(cur, blocks, am, bm, msg.K1-msg.K0, opts.Procs)
 			// Recycle the consumed wire blocks for the next decode — all but
 			// the ones pending absorbed (promised to the cache); resident
 			// panels never left the cache.
 			pool.PutAll(spent)
+			if err != nil {
+				return fmt.Errorf("net: worker %s: %w", name, err)
+			}
 			installs++
 			if opts.CrashAfterInstalls > 0 && installs >= opts.CrashAfterInstalls {
 				conn.Close() // simulate a killed process: vanish mid-protocol
@@ -338,7 +350,7 @@ func ServeConn(conn net.Conn, name string, opts WorkerOptions) error {
 					// A partially-covered panel at flush means the master
 					// skipped installments for it mid-chunk — it never does —
 					// but recycle rather than cache a hole.
-					pool.PutAll(ent.compact())
+					pool.PutAll(ent.blocks)
 					continue
 				}
 				if !opts.Cache.Install(dg, ent.blocks) {

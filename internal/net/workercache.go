@@ -17,18 +17,6 @@ type pendingPanel struct {
 	covered int
 }
 
-// compact returns the non-nil blocks for recycling when the panel is
-// discarded instead of promoted.
-func (p *pendingPanel) compact() []*matrix.Block {
-	out := p.blocks[:0]
-	for _, b := range p.blocks {
-		if b != nil {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // assembleInstall reconstructs an installment's full A/B panel lists.
 // Without refs every block is in the frame's payload — A rows row-major, then
 // B blocks k-major — nothing is cached, and all of them are spent once

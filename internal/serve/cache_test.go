@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,5 +192,110 @@ func TestServerRedialInvalidatesResidency(t *testing.T) {
 	f.Return([]int{victim}, m, true)
 	if panels, bytes := s.registry.Resident(victim); panels != 0 || bytes != 0 {
 		t.Errorf("worker %d still holds %d panels / %d bytes after its session was recycled", victim, panels, bytes)
+	}
+}
+
+// TestRecycledPanelsStayBitwise is the safety test of the worker caches'
+// place in the block cycle: evicted panels go back to matrix.SharedPool, which
+// in this one process also feeds the daemon's submit decode, the master's
+// result carriers and every worker's frame reader, so a panel recycled while
+// a kernel could still read it would be overwritten at once (with NaN under
+// -tags poisonpool) and C would differ from the oracle. Caches smaller than
+// one job's panel set evict all the time while over budget on pins; caches of
+// about a job and a half keep some of the previous job. The traffic mixes an
+// A shared by every job, B operands that come back unchanged and freshly
+// stamped ones, and one worker dies mid-chunk in every lease it joins, so the
+// session exit path recycles a held chunk and half-streamed panels too.
+func TestRecycledPanelsStayBitwise(t *testing.T) {
+	inst := sched.Instance{R: 6, S: 8, T: 4}
+	q := 8
+	pb := cache.PanelDataBytes(q, inst.T)
+	budgets := map[string]int64{
+		"smaller than one job": 2 * pb,
+		"a job and a half":     3 * int64(inst.R+inst.S) * pb / 2,
+	}
+	for name, budget := range budgets {
+		t.Run(name, func(t *testing.T) {
+			opts := func(int) mmnet.WorkerOptions {
+				return mmnet.WorkerOptions{Heartbeat: 50 * time.Millisecond, Cache: cache.NewPanelCache(budget)}
+			}
+			// Worker 0 is the same loop as worker 1, counting the sessions its
+			// crash hook ended.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			var crashes atomic.Int64
+			crasher := opts(0)
+			crasher.CrashAfterInstalls = 3
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					if errors.Is(mmnet.ServeConn(conn, "crasher", crasher), mmnet.ErrCrashInjected) {
+						crashes.Add(1)
+					}
+				}
+			}()
+			addrs := append([]string{ln.Addr().String()}, startWorkers(t, 1, opts)...)
+
+			f, err := NewFleet(addrs, homSpecs(2), FleetOptions{Master: mmnet.MasterOptions{IOTimeout: 10 * time.Second}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			s := NewServer(f, Config{Logger: testLogger(t)})
+			defer s.Close()
+			daemon := startClientListener(t, s).Addr().String()
+
+			rng := rand.New(rand.NewSource(720))
+			a := matrix.NewBlockMatrix(inst.R, inst.T, q)
+			a.FillRandom(rng)
+			var bs [2]*matrix.BlockMatrix
+			for i := range bs {
+				bs[i] = matrix.NewBlockMatrix(inst.T, inst.S, q)
+				bs[i].FillRandom(rng)
+			}
+			for job := 0; job < 12; job++ {
+				if job == 6 {
+					// Worker 0 died in job 0; have it back, its cache as it
+					// was, to die again among warm caches.
+					for deadline := time.Now().Add(10 * time.Second); len(f.Idle()) < 2; time.Sleep(20 * time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatal("the crashed worker never re-registered")
+						}
+					}
+				}
+				b := bs[job%2]
+				if job%3 != 0 { // every third job's B comes back as it was
+					for j := 0; j < inst.S; j++ {
+						b.Block(0, j).Set(0, 0, rng.Float64())
+					}
+				}
+				if job%4 == 3 { // one fresh panel among A's resident ones
+					a.Block(job%inst.R, 0).Set(0, 0, rng.Float64())
+				}
+				c := matrix.NewBlockMatrix(inst.R, inst.S, q)
+				c.FillRandom(rng)
+				want := oracleC(t, a, b, c)
+				got, _, err := SubmitProduct(context.Background(), daemon, a, b, c, nil, ClassStandard)
+				if err != nil {
+					t.Fatalf("job %d: %v", job, err)
+				}
+				if d := got.MaxAbsDiff(want); d != 0 {
+					t.Fatalf("job %d: C differs from the in-process oracle by %g", job, d)
+				}
+			}
+			if n := crashes.Load(); n < 2 {
+				t.Errorf("test premise broken: the crashing worker died mid-job %d times, want 2", n)
+			}
+			st := s.Status()
+			if st.Cache == nil || st.Cache.PanelHits == 0 || st.Cache.PanelMisses == 0 {
+				t.Errorf("test premise broken: want both cache hits and misses, got %+v", st.Cache)
+			}
+		})
 	}
 }

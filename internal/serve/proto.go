@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -200,6 +201,40 @@ func matrixFromBlocks(r, c, q int, blocks []*matrix.Block) (*matrix.BlockMatrix,
 	return m, nil
 }
 
+// linkBuf is the size of each direction's buffer on a client connection.
+const linkBuf = 1 << 16
+
+// A submission is a connection of its own, so both ends take its two buffers
+// from these pools and not from the allocator. A buffer goes back only once
+// nothing can touch it again: two goroutines outlive the function that took
+// theirs (the daemon's cancel reader, the client's cancel writer).
+var (
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, linkBuf) }}
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, linkBuf) }}
+)
+
+func getReader(conn net.Conn) *bufio.Reader {
+	rd := readerPool.Get().(*bufio.Reader)
+	rd.Reset(conn)
+	return rd
+}
+
+func putReader(rd *bufio.Reader) {
+	rd.Reset(nil)
+	readerPool.Put(rd)
+}
+
+func getWriter(conn net.Conn) *bufio.Writer {
+	wr := writerPool.Get().(*bufio.Writer)
+	wr.Reset(conn)
+	return wr
+}
+
+func putWriter(wr *bufio.Writer) {
+	wr.Reset(nil)
+	writerPool.Put(wr)
+}
+
 // ListenAndServe accepts client connections until the listener closes: each
 // submission is admitted to the queue and answered with its updated C when
 // its turn has run; status requests get the JSON snapshot. One goroutine per
@@ -223,8 +258,14 @@ func (s *Server) ListenAndServe(ln net.Listener) error {
 // handleClient runs one client connection to completion.
 func (s *Server) handleClient(conn net.Conn) {
 	defer conn.Close()
-	rd := bufio.NewReaderSize(conn, 1<<16)
-	wr := bufio.NewWriterSize(conn, 1<<16)
+	rd, wr := getReader(conn), getWriter(conn)
+	defer putWriter(wr)
+	rdMine := true // until a submission's cancel reader takes rd over
+	defer func() {
+		if rdMine {
+			putReader(rd)
+		}
+	}()
 	codec := matrix.BlockCodec{Pool: &matrix.SharedPool}
 
 	reply := func(m *clientMsg) error {
@@ -325,10 +366,13 @@ func (s *Server) handleClient(conn net.Conn) {
 		}
 		// While the job queues or runs, keep reading the connection for a
 		// cancel frame (the submit goroutine wrote its last frame already, so
-		// this reader owns rd). A cancel for the accepted job cancels it
-		// server-side; a vanished client merely ends the reader — its job
-		// keeps running, exactly as before the cancel frame existed.
+		// this reader owns rd, and returns it when the connection closes). A
+		// cancel for the accepted job cancels it server-side; a vanished
+		// client merely ends the reader — its job keeps running, exactly as
+		// before the cancel frame existed.
+		rdMine = false
 		go func() {
+			defer putReader(rd)
 			var rdCodec matrix.BlockCodec
 			for {
 				msg, err := readClientMsg(rd, &rdCodec)
@@ -383,8 +427,17 @@ func SubmitProduct(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix
 		return nil, 0, err
 	}
 	defer conn.Close()
-	rd := bufio.NewReaderSize(conn, 1<<16)
-	wr := bufio.NewWriterSize(conn, 1<<16)
+	rd, wr := getReader(conn), getWriter(conn)
+	// stop disarms the cancel path once the job is accepted. If it reports
+	// that the path already fired, its goroutine may still be writing: wr is
+	// left to the garbage collector.
+	var stop func() bool
+	defer func() {
+		putReader(rd)
+		if stop == nil || stop() {
+			putWriter(wr)
+		}
+	}()
 	var codec matrix.BlockCodec
 
 	// Until the daemon accepts the job there is nothing to cancel — a ctx
@@ -439,7 +492,7 @@ func SubmitProduct(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix
 	// failed immediately and only an explicit cancel waits for the daemon's
 	// acknowledgement.
 	var cancelCodec matrix.BlockCodec
-	stop := context.AfterFunc(ctx, func() {
+	stop = context.AfterFunc(ctx, func() {
 		conn.SetWriteDeadline(time.Now().Add(cancelGrace))
 		if err := writeClientMsg(wr, &clientMsg{Kind: cCancel, ID: ack.ID}, &cancelCodec); err == nil {
 			wr.Flush()
@@ -450,7 +503,6 @@ func SubmitProduct(ctx context.Context, addr string, a, b, c *matrix.BlockMatrix
 			conn.SetReadDeadline(time.Now())
 		}
 	})
-	defer stop()
 
 	res := &clientMsg{Blocks: cBlocks}
 	if err := readClientMsgInto(rd, &codec, res); err != nil {
@@ -508,7 +560,7 @@ func request(ctx context.Context, addr string, req *clientMsg) (*clientMsg, erro
 	if err := writeClientMsg(conn, req, nil); err != nil {
 		return nil, clientErr(ctx, err)
 	}
-	msg, err := readClientMsg(bufio.NewReaderSize(conn, 1<<16), nil)
+	msg, err := readClientMsg(bufio.NewReaderSize(conn, linkBuf), nil)
 	if err != nil {
 		return nil, clientErr(ctx, err)
 	}

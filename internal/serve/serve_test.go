@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -839,5 +840,70 @@ func TestSubmitCancelBeforeAccept(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("pre-accept cancel took %v, want prompt return", elapsed)
+	}
+}
+
+// TestPooledLinkBuffersOutliveCancels drives the two goroutines that outlive
+// the function that took their buffer from the link pools — the client's
+// cancel writer and the daemon's cancel reader — and then reuses the pools:
+// submissions cancelled over the wire while they queue, then as many healthy
+// ones at once, three times over. A cancelled one must say so, a healthy one
+// must be bitwise right, and under the race detector a buffer handed back
+// while still in use is a report.
+func TestPooledLinkBuffersOutliveCancels(t *testing.T) {
+	addrs := startWorkers(t, 2, nil)
+	f, err := NewFleet(addrs, homSpecs(2), FleetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s := NewServer(f, Config{Logger: testLogger(t)})
+	defer s.Close()
+	daemon := startClientListener(t, s).Addr().String()
+	a, b, c0, want := testMatrices(t, sched.Instance{R: 4, S: 6, T: 3}, 8, 1101)
+
+	const clients = 4
+	submitAll := func(ctx context.Context, check func(got *matrix.BlockMatrix, err error)) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		for k := 0; k < clients; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, _, err := SubmitProduct(ctx, daemon, a, b, c0.Clone(), nil, ClassStandard)
+				check(got, err)
+			}()
+		}
+		return &wg
+	}
+	all := []int{0, 1}
+	for round := 0; round < 3; round++ {
+		// With the whole fleet held the submissions can only queue.
+		hold, err := f.Lease(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		wg := submitAll(ctx, func(_ *matrix.BlockMatrix, err error) {
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled submission returned %v, want context.Canceled in the chain", err)
+			}
+		})
+		for deadline := time.Now().Add(5 * time.Second); s.Status().Queued < clients; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d of %d submissions queued", round, s.Status().Queued, clients)
+			}
+		}
+		cancel()
+		wg.Wait()
+		f.Return(all, hold, false)
+		s.kick()
+
+		submitAll(context.Background(), func(got *matrix.BlockMatrix, err error) {
+			if err != nil {
+				t.Errorf("round %d: %v", round, err)
+			} else if d := got.MaxAbsDiff(want); d != 0 {
+				t.Errorf("round %d: C differs from the oracle by %g", round, d)
+			}
+		}).Wait()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	mmnet "repro/internal/net"
 	"repro/internal/platform"
 	"repro/internal/serve"
@@ -42,11 +43,11 @@ type countingConn struct {
 func (c *countingConn) Read(p []byte) (int, error)  { c.l.reads.Add(1); return c.Conn.Read(p) }
 func (c *countingConn) Write(p []byte) (int, error) { c.l.writes.Add(1); return c.Conn.Write(p) }
 
-// startCountedDaemon is startDaemon over 2 cacheless workers with the
-// daemon's client listener and worker 0's listener counted. Heartbeats and
-// keepalive pings are pushed out of the test's lifetime: every counted call
-// belongs to a job.
-func startCountedDaemon(t *testing.T) (addr string, client, worker *countingListener) {
+// startCountedDaemon is startDaemon over 2 workers — worker i caching in
+// caches[i], cacheless where that is nil — with the daemon's client listener
+// and worker 0's listener counted. Heartbeats and keepalive pings are pushed
+// out of the test's lifetime: every counted call belongs to a job.
+func startCountedDaemon(t *testing.T, caches [2]*cache.PanelCache) (addr string, client, worker *countingListener) {
 	t.Helper()
 	listen := func() *countingListener {
 		ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
@@ -63,7 +64,7 @@ func startCountedDaemon(t *testing.T) (addr string, client, worker *countingList
 			worker = ln
 		}
 		addrs[i] = ln.Addr().String()
-		go mmnet.Serve(ln, addrs[i], mmnet.WorkerOptions{Heartbeat: time.Hour})
+		go mmnet.Serve(ln, addrs[i], mmnet.WorkerOptions{Heartbeat: time.Hour, Cache: caches[i]})
 	}
 	fleet, err := serve.NewFleet(addrs, platform.Homogeneous(2, 1, 1, 60).Workers, serve.FleetOptions{Keepalive: -1})
 	if err != nil {
@@ -98,7 +99,7 @@ func TestRemoteJobAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts; the budget holds without it")
 	}
-	addr, _, _ := startCountedDaemon(t)
+	addr, _, _ := startCountedDaemon(t, [2]*cache.PanelCache{})
 	sess, err := Open(context.Background(), WithRuntime(Remote(addr)))
 	if err != nil {
 		t.Fatal(err)
@@ -122,18 +123,80 @@ func TestRemoteJobAllocationBudget(t *testing.T) {
 	if c.Block(0, 0) != first {
 		t.Error("the result was not decoded into the caller's C blocks")
 	}
+	checkAllocBudget(t, 0.5, operandBytes(a, b, c), func() { remoteJob(t, sess, a, b, c) })
+}
+
+// TestCachingWorkersAllocationBudget is the same budget in the regime the
+// cacheless one cannot see, the benchmark's: workers with a bounded panel
+// cache, and operands whose every panel is new to it (one element of each A
+// row panel and B column panel changes per job), so each job's panels are
+// absorbed and as many evicted. Evicted blocks go back to the pool the next
+// install decodes from: once the caches are full a job allocates less than a
+// quarter of its operand bytes. While eviction left them to the collector it
+// was ×1.19.
+func TestCachingWorkersAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts; the budget holds without it")
+	}
+	const r, s, tt, q = 16, 16, 16, 80
+	a, b, c := seeded(t, r, s, tt, q, 7)
+	// One job's A and B panels fill both caches together.
+	budget := cache.PanelDataBytes(q, tt) * (r + s) / 2
+	caches := [2]*cache.PanelCache{cache.NewPanelCache(budget), cache.NewPanelCache(budget)}
+	addr, _, _ := startCountedDaemon(t, caches)
+	sess, err := Open(context.Background(), WithRuntime(Remote(addr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	stamp := 0.0
+	job := func() {
+		stamp++
+		for i := 0; i < r; i++ {
+			a.Block(i, 0).Data[0] = stamp
+		}
+		for j := 0; j < s; j++ {
+			b.Block(0, j).Data[0] = stamp
+		}
+		remoteJob(t, sess, a, b, c)
+	}
+	full := func() bool {
+		return caches[0].Snapshot().Evictions > 0 && caches[1].Snapshot().Evictions > 0
+	}
+	for warm := 0; !full() || warm < 3; warm++ {
+		if warm == 10 {
+			t.Fatalf("caches not full after %d jobs: %+v, %+v", warm, caches[0].Snapshot(), caches[1].Snapshot())
+		}
+		job()
+	}
+	checkAllocBudget(t, 0.25, operandBytes(a, b, c), job)
+	if st := caches[0].Snapshot(); st.Hits != 0 {
+		t.Errorf("test premise broken: %d cache hits, every panel should be new", st.Hits)
+	}
+}
+
+func operandBytes(ms ...*Matrix) (n float64) {
+	for _, m := range ms {
+		n += float64(m.Rows * m.Cols * 8 * m.Q * m.Q)
+	}
+	return n
+}
+
+// checkAllocBudget runs job five times and fails if the process allocated
+// limit×operand bytes or more per run.
+func checkAllocBudget(t *testing.T, limit, operand float64, job func()) {
+	t.Helper()
 	const jobs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < jobs; i++ {
-		remoteJob(t, sess, a, b, c)
+		job()
 	}
 	runtime.ReadMemStats(&after)
-	operand := float64((r*tt + tt*s + r*s) * 8 * q * q)
 	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
 	t.Logf("%.2f MB allocated per job for %.2f MB of operands (×%.2f)", perJob/1e6, operand/1e6, perJob/operand)
-	if perJob >= 0.5*operand {
-		t.Errorf("a warm Remote job allocates %.0f bytes, ≥ half its %.0f operand bytes", perJob, operand)
+	if perJob >= limit*operand {
+		t.Errorf("a warm Remote job allocates %.0f bytes, ≥ %.2f× its %.0f operand bytes", perJob, limit, operand)
 	}
 }
 
@@ -143,7 +206,7 @@ func TestRemoteJobAllocationBudget(t *testing.T) {
 // link. The counts are what the links' 64 KB buffers make of the protocol; a
 // change that flushes per block or per field multiplies them.
 func TestSmallJobSocketCallBudget(t *testing.T) {
-	addr, client, worker := startCountedDaemon(t)
+	addr, client, worker := startCountedDaemon(t, [2]*cache.PanelCache{})
 	sess, err := Open(context.Background(), WithRuntime(Remote(addr)))
 	if err != nil {
 		t.Fatal(err)
