@@ -7,8 +7,8 @@
 //
 // By default the plan runs on the concurrent core: one dispatch goroutine
 // per worker, so transfers to distinct workers and every worker's compute
-// overlap. -pipelined=false falls back to the strictly sequential op loop;
-// the computed C is bitwise-identical either way. With -pace (in-process
+// overlap. -pipelined=false falls back to the strictly sequential op loop
+// (in-process only); the computed C is bitwise-identical either way. With -pace (in-process
 // only) transfers cost simulated wall-clock time, and -oneport keeps those
 // paced transfer slots serialized as the paper's one-port model demands.
 //
@@ -70,7 +70,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "random seed for matrix data")
 	flag.DurationVar(&o.pace, "pace", 0, "per (block × unit link cost) transfer pacing, e.g. 50us")
 	flag.StringVar(&o.distributed, "distributed", "", "comma-separated mmworker addresses; drive remote workers over TCP instead of in-process goroutines")
-	flag.BoolVar(&o.pipelined, "pipelined", true, "use the concurrent dispatch core (false: strictly sequential op loop)")
+	flag.BoolVar(&o.pipelined, "pipelined", true, "use the concurrent dispatch core (false: strictly sequential op loop, in-process only)")
 	flag.BoolVar(&o.onePort, "oneport", false, "serialize transfer slots across workers (one-port master); meaningful with -pace or -distributed under -pipelined")
 	flag.IntVar(&o.procs, "procs", 0, "goroutines per in-process worker's block updates (≤1: sequential); remote workers set their own via mmworker -procs")
 	flag.StringVar(&o.redundancy, "redundancy", "", "proactive straggler mitigation: off, replicated[:r] or coded[:r] — r redundant units per wave raced through the k-of-n gate")
@@ -134,6 +134,9 @@ func run(ctx context.Context, o options) error {
 		if o.procs != 0 {
 			return fmt.Errorf("-procs applies to the in-process engine only; remote workers set their own parallelism via mmworker -procs")
 		}
+		if !o.pipelined {
+			return fmt.Errorf("-pipelined=false applies to the in-process engine only; distributed jobs run on the concurrent core")
+		}
 		var addrs []string
 		for _, a := range strings.Split(o.distributed, ",") {
 			if a = strings.TrimSpace(a); a != "" {
@@ -143,9 +146,7 @@ func run(ctx context.Context, o options) error {
 		if len(addrs) == 0 {
 			return fmt.Errorf("-distributed given but no worker addresses parsed")
 		}
-		// mmrun is a one-shot driver: its workers exist for this run, so the
-		// session shuts the daemons down on Close (as mmrun always has).
-		opts = append(opts, matmul.WithRuntime(matmul.Distributed(addrs...)), matmul.WithWorkerShutdown())
+		opts = append(opts, matmul.WithRuntime(matmul.Distributed(addrs...)))
 		runtime = fmt.Sprintf("distributed over %d workers", len(addrs))
 	} else {
 		if o.pace != 0 {
@@ -196,11 +197,5 @@ func run(ctx context.Context, o options) error {
 		return fmt.Errorf("verification FAILED (deviation %g)", diff)
 	}
 	fmt.Println("verification OK: C = C₀ + A·B")
-	// Close is also the worker teardown on the distributed runtime; a failed
-	// shutdown leaves daemons running and deserves a diagnostic (the
-	// deferred second Close is an idempotent no-op).
-	if err := sess.Close(); err != nil {
-		slog.Warn("worker shutdown failed", "err", err)
-	}
 	return nil
 }

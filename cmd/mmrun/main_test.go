@@ -38,8 +38,9 @@ func TestRunUnknownAlgorithm(t *testing.T) {
 
 // TestRunDistributedAgainstLoopbackWorkers is the acceptance check for
 // -distributed: two loopback workers, the full mmrun path (schedule, drive
-// over TCP with both executors, verify C within 1e-9 of the serial product —
-// run fails itself if the deviation exceeds that).
+// over TCP, verify C within 1e-9 of the serial product — run fails itself
+// if the deviation exceeds that). The sequential executor is in-process
+// only and must be rejected by name.
 func TestRunDistributedAgainstLoopbackWorkers(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
@@ -51,14 +52,16 @@ func TestRunDistributedAgainstLoopbackWorkers(t *testing.T) {
 		addrs = append(addrs, ln.Addr().String())
 		go mmnet.Serve(ln, addrs[i], mmnet.WorkerOptions{Heartbeat: 50 * time.Millisecond})
 	}
-	for _, pipelined := range []bool{false, true} {
-		o := options{
-			alg: "het", inst: sched.Instance{R: 4, S: 10, T: 3}, q: 4, seed: 1,
-			distributed: strings.Join(addrs, ","), pipelined: pipelined,
-		}
-		if err := run(context.Background(), o); err != nil {
-			t.Fatalf("pipelined=%v: %v", pipelined, err)
-		}
+	o := options{
+		alg: "het", inst: sched.Instance{R: 4, S: 10, T: 3}, q: 4, seed: 1,
+		distributed: strings.Join(addrs, ","), pipelined: true,
+	}
+	if err := run(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	o.pipelined = false
+	if err := run(context.Background(), o); err == nil || !strings.Contains(err.Error(), "-pipelined=false") {
+		t.Fatalf("-pipelined=false with -distributed not rejected clearly: %v", err)
 	}
 }
 

@@ -164,7 +164,7 @@ func daemon(ctx context.Context, ln stdnet.Listener, o options) error {
 	if err != nil {
 		return err
 	}
-	scheduler, err := pickScheduler(o.alg)
+	scheduler, err := sched.Lookup(o.alg)
 	if err != nil {
 		return err
 	}
@@ -485,16 +485,4 @@ func parseSpecs(s string, n int) ([]platform.Worker, error) {
 		return nil, fmt.Errorf("%d specs for %d workers", len(ws), n)
 	}
 	return ws, nil
-}
-
-func pickScheduler(alg string) (sched.Scheduler, error) {
-	schedulers := map[string]sched.Scheduler{
-		"hom": sched.Hom{}, "homi": sched.HomI{}, "het": sched.Het{},
-		"orroml": sched.ORROML{}, "ommoml": sched.OMMOML{}, "oddoml": sched.ODDOML{}, "bmm": sched.BMM{},
-	}
-	s, ok := schedulers[strings.ToLower(alg)]
-	if !ok {
-		return nil, fmt.Errorf("unknown algorithm %q", alg)
-	}
-	return s, nil
 }

@@ -16,17 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/platform"
 	"repro/internal/sched"
 )
-
-var algorithms = map[string]sched.Scheduler{
-	"hom": sched.Hom{}, "homi": sched.HomI{}, "het": sched.Het{},
-	"orroml": sched.ORROML{}, "ommoml": sched.OMMOML{}, "oddoml": sched.ODDOML{},
-	"bmm": sched.BMM{}, "maxreuse": sched.MaxReuse{},
-}
 
 var namedPlatforms = map[string]func() *platform.Platform{
 	"hetero-mem":  platform.HeteroMemory,
@@ -57,9 +50,10 @@ func main() {
 }
 
 func run(alg, name, workers string, inst sched.Instance, gantt, csv, analyze bool) error {
-	s, ok := algorithms[strings.ToLower(alg)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", alg)
+	// The §6 algorithms, plus the §3 single-worker layout for comparison.
+	s, err := sched.Lookup(alg, sched.MaxReuse{})
+	if err != nil {
+		return err
 	}
 	pl, err := buildPlatform(name, workers)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -48,7 +49,8 @@ func TestBuildPlatformDefault(t *testing.T) {
 }
 
 func TestRunAllAlgorithms(t *testing.T) {
-	for name := range algorithms {
+	for _, s := range append(sched.Algorithms(), sched.MaxReuse{}) {
+		name := strings.ToLower(s.Name())
 		if err := run(name, "", "1:1:60,2:1.5:40", sched.Instance{R: 6, S: 12, T: 4}, false, false, false); err != nil {
 			t.Errorf("run(%s): %v", name, err)
 		}

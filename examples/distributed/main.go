@@ -103,13 +103,13 @@ func main() {
 	}
 
 	// The public way in: a matmul.Session on the Distributed runtime over
-	// the same daemons (homogeneous platform, same algorithm — therefore the
-	// same plan, and in any case the same bits). Its Close shuts the worker
-	// daemons down, ending the example cleanly.
+	// the same daemons (homogeneous platform, same algorithm — the plan may
+	// lease a subset, and in any case C has the same bits). Its Close
+	// releases the worker sessions; the deferred listener closes end the
+	// daemons.
 	sess, err := matmul.Open(context.Background(),
 		matmul.WithRuntime(matmul.Distributed(addrs...)),
 		matmul.WithAlgorithm("Het"),
-		matmul.WithWorkerShutdown(),
 	)
 	if err != nil {
 		log.Fatal(err)

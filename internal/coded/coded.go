@@ -7,7 +7,7 @@
 // the paper. replicated duplicates the hottest chunk jobs onto the fastest
 // other workers; every committed result is a verbatim systematic result, so
 // C is always bitwise-identical to the unredundant run. coded adds systematic
-// MDS parity units: groups of up to GroupSize compatible jobs are covered by
+// MDS parity units: groups of up to groupWidth compatible jobs are covered by
 // generalized-Vandermonde parity combinations of their payloads, and a decode
 // reconstructs only the group members that never returned — the
 // straggler-free path still commits systematic results verbatim.
@@ -77,26 +77,21 @@ type Options struct {
 	// Estimator prices placement with live measurements; nil falls back to
 	// uniform costs (placement by load alone).
 	Estimator adapt.Estimator
-	// GroupSize caps parity group width (k). Small groups keep the
-	// generalized-Vandermonde decode well-conditioned; ≤ 0 defaults to 4.
-	GroupSize int
-	// SpeculationLimit is forwarded to the gate (see
-	// engine.Redundancy.SpeculationLimit). 0 keeps the gate default.
-	SpeculationLimit int
 }
+
+// groupWidth caps a parity group at k members. Small groups keep the
+// generalized-Vandermonde decode (nodes 1..r, r ≤ k) well-conditioned:
+// TestReconstructConditioning decodes every missing subset from every
+// sufficient set of parity rows, for every r ≤ groupWidth, within a
+// relative error of 1e-12 of the payload's largest magnitude (measured
+// worst: 4.4e-14 on the test's seed, 8.1e-14 over eight more seeds).
+const groupWidth = 4
 
 func (o *Options) r() int {
 	if o.R <= 0 {
 		return 1
 	}
 	return o.R
-}
-
-func (o *Options) groupSize() int {
-	if o.GroupSize <= 0 {
-		return 4
-	}
-	return o.GroupSize
 }
 
 // jobCost prices one chunk job on worker w with the elastic policy's cost
@@ -137,7 +132,7 @@ func Plan(t int, plan []sim.PlanOp, a, c *matrix.BlockMatrix, workers int, opts 
 	if len(jobs) == 0 || workers < 2 {
 		// No jobs to protect, or nowhere to put a second copy: run with the
 		// gate (for its arbitration and stats) but no planned units.
-		return &engine.Redundancy{Mode: string(opts.Mode), SpeculationLimit: opts.SpeculationLimit}, nil
+		return &engine.Redundancy{Mode: string(opts.Mode)}, nil
 	}
 
 	// Plan-time load model: each worker starts with the cost of its own
@@ -149,7 +144,7 @@ func Plan(t int, plan []sim.PlanOp, a, c *matrix.BlockMatrix, workers int, opts 
 		}
 	}
 
-	red := &engine.Redundancy{Mode: string(opts.Mode), SpeculationLimit: opts.SpeculationLimit}
+	red := &engine.Redundancy{Mode: string(opts.Mode)}
 	switch opts.Mode {
 	case ModeReplicated:
 		red.Units = planReplicas(jobs, workers, load, opts)
@@ -217,7 +212,7 @@ func pickWorker(workers int, load []float64, price func(w int) (cost float64, ok
 
 // planParities groups compatible jobs (same chunk shape, same B columns, same
 // installment schedule — the geometry that makes the weighted-sum algebra
-// close) into parity groups of at most GroupSize members, and emits up to R
+// close) into parity groups of at most groupWidth members, and emits up to R
 // pre-encoded parity units per group, placed on the least-loaded workers that
 // host no member of the group.
 func planParities(t int, jobs []sim.PlanJob, a, c *matrix.BlockMatrix, workers int, load []float64, opts Options) ([]engine.RedundantUnit, error) {
@@ -243,8 +238,8 @@ func planParities(t int, jobs []sim.PlanJob, a, c *matrix.BlockMatrix, workers i
 	gid := 0
 	for _, s := range order {
 		members := bySig[s]
-		for g0 := 0; g0 < len(members); g0 += opts.groupSize() {
-			g1 := g0 + opts.groupSize()
+		for g0 := 0; g0 < len(members); g0 += groupWidth {
+			g1 := g0 + groupWidth
 			if g1 > len(members) {
 				g1 = len(members)
 			}

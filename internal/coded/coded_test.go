@@ -3,6 +3,8 @@ package coded
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -138,6 +140,61 @@ func TestReconstructMultiMissingTolerance(t *testing.T) {
 				t.Fatalf("parity row %d block %d mutated by Reconstruct", j, i)
 			}
 		}
+	}
+}
+
+// TestReconstructConditioning pins groupWidth's decode bound: for every
+// parity count r ≤ groupWidth, every missing subset of a full group is
+// recovered from every set of received parity rows large enough to solve it,
+// within the relative error groupWidth's comment states.
+func TestReconstructConditioning(t *testing.T) {
+	const bound = 1e-12
+	rng := rand.New(rand.NewSource(4))
+	q, n := 4, 3
+	truth := make([][]*matrix.Block, groupWidth)
+	scale, zero := 0.0, matrix.NewBlock(q)
+	for s := range truth {
+		truth[s] = randomList(rng, n, q, false)
+		for _, b := range truth[s] {
+			scale = math.Max(scale, b.MaxAbsDiff(zero))
+		}
+	}
+	worst := 0.0
+	for r := 1; r <= groupWidth; r++ {
+		coeffs, parities := encode(truth, r, q)
+		for miss := 1; miss < 1<<groupWidth; miss++ {
+			for rows := 1; rows < 1<<r; rows++ {
+				if bits.OnesCount(uint(rows)) < bits.OnesCount(uint(miss)) {
+					continue
+				}
+				members := make([][]*matrix.Block, groupWidth)
+				for s := range members {
+					if miss&(1<<s) == 0 {
+						members[s] = truth[s]
+					}
+				}
+				var cs [][]float64
+				var ps [][]*matrix.Block
+				for j := 0; j < r; j++ {
+					if rows&(1<<j) != 0 {
+						cs, ps = append(cs, coeffs[j]), append(ps, parities[j])
+					}
+				}
+				got, ok := Reconstruct(members, cs, ps)
+				if !ok {
+					t.Fatalf("r=%d missing %04b rows %04b: not solved", r, miss, rows)
+				}
+				for s, list := range got {
+					for i, b := range list {
+						worst = math.Max(worst, b.MaxAbsDiff(truth[s][i])/scale)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst relative decode error at width %d: %.2g", groupWidth, worst)
+	if worst > bound {
+		t.Fatalf("worst relative decode error %.2g exceeds the stated bound %.0e", worst, bound)
 	}
 }
 
@@ -312,8 +369,11 @@ func (be *csBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
 		return nil, fmt.Errorf("worker %d asked to flush %v it does not hold", w, ch)
 	}
 	if be.stall != nil && be.stall(w, ch) {
-		cancel := make(chan struct{})
-		be.cancels[w][ch] = cancel
+		cancel, ok := be.cancels[w][ch]
+		if !ok {
+			cancel = make(chan struct{})
+			be.cancels[w][ch] = cancel
+		}
 		be.mu.Unlock()
 		select {
 		case <-cancel:
@@ -334,7 +394,16 @@ func (be *csBackend) RecvC(w int, ch matrix.Chunk) ([]*matrix.Block, error) {
 func (be *csBackend) CancelUnit(w int, ch matrix.Chunk) {
 	be.mu.Lock()
 	defer be.mu.Unlock()
-	if cancel, ok := be.cancels[w][ch]; ok {
+	cancel, ok := be.cancels[w][ch]
+	if !ok {
+		// The unit has not reached its flush yet: leave the cancel for RecvC
+		// to find, as the real master's per-link cancel flag does.
+		cancel = make(chan struct{})
+		be.cancels[w][ch] = cancel
+	}
+	select {
+	case <-cancel:
+	default:
 		close(cancel)
 	}
 }

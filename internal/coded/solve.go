@@ -4,7 +4,7 @@ import "repro/internal/matrix"
 
 // pivotEps rejects a pivot as numerically singular. The planner's coefficient
 // matrices are tiny generalized Vandermonde systems over small integer nodes
-// (group width ≤ GroupSize, nodes 1..R), so genuine pivots sit far above
+// (group width ≤ groupWidth, nodes 1..R), so genuine pivots sit far above
 // this; only a malformed system gets near it.
 const pivotEps = 1e-12
 

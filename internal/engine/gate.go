@@ -91,11 +91,6 @@ type Redundancy struct {
 	// Reconstruct decodes parity groups; required for parity units to be
 	// usable (internal/coded always sets it).
 	Reconstruct ReconstructFunc
-	// SpeculationLimit caps the concurrent copies of one job claimed through
-	// the gate (planned replicas and the dynamic idle-worker speculation;
-	// the primary dispatch is exempt). ≤ 0 means 2: a primary plus one
-	// backup, the classic speculative-execution bound.
-	SpeculationLimit int
 
 	mu sync.Mutex
 	st RedundancyStats
@@ -115,12 +110,11 @@ func (r *Redundancy) bump(f func(*RedundancyStats)) {
 	r.mu.Unlock()
 }
 
-func (r *Redundancy) limit() int {
-	if r.SpeculationLimit > 0 {
-		return r.SpeculationLimit
-	}
-	return 2
-}
+// speculationLimit caps the concurrent copies of one job claimed through the
+// gate (planned replicas and the dynamic idle-worker speculation; the
+// primary dispatch is exempt): a primary plus one backup, the classic
+// speculative-execution bound.
+const speculationLimit = 2
 
 // parityGroup tracks one parity group: its member jobs and the parity results
 // held until the group decodes.
@@ -185,7 +179,7 @@ func (g *kofnGate) admit(u unit) bool {
 		if len(g.missing(g.groups[u.parity.Group])) == 0 {
 			return false
 		}
-	case g.committed[u.job] || u.copy && g.copies[u.job] >= g.red.limit():
+	case g.committed[u.job] || u.copy && g.copies[u.job] >= speculationLimit:
 		return false
 	case !u.copy:
 		return true // a primary is not redundant work
@@ -215,7 +209,7 @@ func (g *kofnGate) release(u unit) {
 func (g *kofnGate) claim() (unit, bool) {
 	best := -1
 	for ji := range g.jobs {
-		if !g.committed[ji] && g.copies[ji] < g.red.limit() && (best < 0 || g.copies[ji] < g.copies[best]) {
+		if !g.committed[ji] && g.copies[ji] < speculationLimit && (best < 0 || g.copies[ji] < g.copies[best]) {
 			best = ji
 		}
 	}
@@ -298,7 +292,7 @@ groups:
 			continue
 		}
 		for _, s := range missing {
-			if g.copies[pg.members[s]] < g.red.limit() {
+			if g.copies[pg.members[s]] < speculationLimit {
 				continue groups
 			}
 		}

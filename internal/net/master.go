@@ -426,17 +426,6 @@ func (m *Master) WorkerNames() []string {
 	return names
 }
 
-// WorkerKernels returns the block-update kernel each registered worker
-// announced, in plan-index order.
-func (m *Master) WorkerKernels() []string {
-	links := m.linkSnapshot()
-	kernels := make([]string, len(links))
-	for i, l := range links {
-		kernels[i] = l.kernel
-	}
-	return kernels
-}
-
 // Workers implements engine.Backend.
 func (m *Master) Workers() int {
 	m.mu.RLock()
@@ -744,7 +733,9 @@ func (m *Master) runContext(ctx context.Context) (unbind func()) {
 }
 
 // Shutdown tells every live worker to end its session and closes all
-// connections. It is idempotent: a second call (or one after Release, Close,
+// connections. The worker daemons keep serving: ServeConn ends a session on
+// a shutdown frame exactly as on a release, and the serve loop accepts the
+// next master. It is idempotent: a second call (or one after Release, Close,
 // or Detach) finds no links and returns nil.
 func (m *Master) Shutdown() error { return m.endSessions(MsgShutdown) }
 

@@ -40,7 +40,7 @@ const (
 	MsgFlush                        // master → worker: return the chunk
 	MsgResult                       // worker → master: finished chunk
 	MsgHeartbeat                    // bidirectional: liveness beacon / fleet keepalive
-	MsgShutdown                     // master → worker: exit
+	MsgShutdown                     // master → worker: end the session (the worker keeps serving, as on release)
 	MsgRelease                      // master → worker: end the session, keep serving
 	MsgHave                         // master → worker: job panel digests — which are resident?
 	MsgHaveAck                      // worker → master: per-digest presence answer

@@ -134,8 +134,9 @@ func ServeOne(ln net.Listener, name string, opts WorkerOptions) error {
 // ServeConn runs one master session over conn: register, then hold a chunk,
 // apply installments with the shared engine kernel, answer flushes, and beat
 // the heartbeat until shutdown or release. It closes conn before returning
-// and returns nil on a clean shutdown or release — after a release the serve
-// loop simply accepts the next master and registers afresh.
+// and returns nil on a clean shutdown or release — the two end the session
+// alike, and the serve loop simply accepts the next master and registers
+// afresh (a daemon exits by its own -sessions count or a signal).
 //
 // Frames are drained by a dedicated reader goroutine and processed from an
 // in-memory queue, so the socket keeps emptying while an installment

@@ -19,6 +19,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -61,6 +62,26 @@ func (r *Result) Plan() []sim.PlanOp { return r.plan }
 type Scheduler interface {
 	Name() string
 	Schedule(pl *platform.Platform, inst Instance) (*Result, error)
+}
+
+// Algorithms returns the paper's §6 algorithms, in the order the tools list
+// them.
+func Algorithms() []Scheduler {
+	return []Scheduler{Hom{}, HomI{}, Het{}, ORROML{}, OMMOML{}, ODDOML{}, BMM{}}
+}
+
+// Lookup returns the scheduler among Algorithms and extra whose Name equals
+// name up to case.
+func Lookup(name string, extra ...Scheduler) (Scheduler, error) {
+	all := append(Algorithms(), extra...)
+	names := make([]string, len(all))
+	for i, s := range all {
+		if strings.EqualFold(s.Name(), name) {
+			return s, nil
+		}
+		names[i] = s.Name()
+	}
+	return nil, fmt.Errorf("sched: unknown algorithm %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // mus returns per-worker chunk edges under the overlapped layout, 0 meaning

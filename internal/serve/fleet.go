@@ -156,11 +156,43 @@ type WorkerMetric struct {
 // reached start down and are re-dialed on demand — the fleet comes up as
 // long as at least one worker registers.
 func NewFleet(addrs []string, specs []platform.Worker, opts FleetOptions) (*Fleet, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("serve: fleet needs at least one worker address")
+	conns := make([]*mmnet.WorkerConn, len(addrs))
+	for i, addr := range addrs {
+		var err error
+		if conns[i], err = mmnet.DialWorker(addr, &opts.Master); err != nil {
+			opts.logger().Warn("worker down", "worker", i, "addr", addr, "err", err)
+		}
 	}
-	if len(specs) != len(addrs) {
-		return nil, fmt.Errorf("serve: %d specs for %d workers", len(specs), len(addrs))
+	return NewFleetConns(addrs, conns, specs, opts)
+}
+
+// NewFleetConns is NewFleet over sessions the caller already dialed (and so
+// bounded by its own context and failure policy): conns[i] is addrs[i]'s
+// registered connection, nil for a worker that starts down. The fleet owns
+// every connection from the call on, on error too.
+func NewFleetConns(addrs []string, conns []*mmnet.WorkerConn, specs []platform.Worker, opts FleetOptions) (f *Fleet, err error) {
+	up := 0
+	for _, wc := range conns {
+		if wc != nil {
+			up++
+		}
+	}
+	defer func() {
+		if err != nil {
+			for _, wc := range conns {
+				if wc != nil {
+					wc.Release()
+				}
+			}
+		}
+	}()
+	switch {
+	case len(addrs) == 0:
+		return nil, fmt.Errorf("serve: fleet needs at least one worker address")
+	case len(specs) != len(addrs) || len(conns) != len(addrs):
+		return nil, fmt.Errorf("serve: %d specs and %d connections for %d workers", len(specs), len(conns), len(addrs))
+	case up == 0:
+		return nil, fmt.Errorf("serve: no worker of %v reachable", addrs)
 	}
 	// Copy before defaulting names, so the caller's slice is never mutated.
 	specs = append([]platform.Worker(nil), specs...)
@@ -172,7 +204,7 @@ func NewFleet(addrs []string, specs []platform.Worker, opts FleetOptions) (*Flee
 			return nil, err
 		}
 	}
-	f := &Fleet{
+	f = &Fleet{
 		opts:     opts,
 		log:      opts.logger(),
 		addrs:    append([]string(nil), addrs...),
@@ -188,32 +220,23 @@ func NewFleet(addrs []string, specs []platform.Worker, opts FleetOptions) (*Flee
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	up := 0
-	for i := range addrs {
-		if f.redialLocked(i) {
-			up++
+	for i, wc := range conns {
+		f.lastDial[i] = time.Now()
+		if wc != nil {
+			f.poolLocked(i, wc)
+		} else {
+			f.downLocked(i)
 		}
-	}
-	if up == 0 {
-		return nil, fmt.Errorf("serve: no worker of %v reachable", addrs)
 	}
 	go f.keepaliveLoop()
 	return f, nil
 }
 
-// redialLocked attempts to (re)connect worker i, updating its state. The
-// fleet lock must be held (or the fleet not yet shared).
-func (f *Fleet) redialLocked(i int) bool {
-	f.lastDial[i] = time.Now()
-	wc, err := mmnet.DialWorker(f.addrs[i], &f.opts.Master)
-	if err != nil {
-		f.downLocked(i)
-		f.log.Warn("worker down", "worker", i, "addr", f.addrs[i], "err", err)
-		return false
-	}
+// poolLocked makes wc worker i's idle session. The fleet lock must be held
+// (or the fleet not yet shared).
+func (f *Fleet) poolLocked(i int, wc *mmnet.WorkerConn) {
 	f.conns[i], f.state[i] = wc, StateIdle
 	f.names[i], f.kernels[i] = wc.Name(), wc.Kernel()
-	return true
 }
 
 // Size returns the fleet's worker count (reachable or not).
@@ -237,51 +260,66 @@ func (f *Fleet) Specs() []platform.Worker {
 // announces itself before its listener is routable still joins eventually.
 // Returns the new worker's fleet index.
 func (f *Fleet) Add(addr string, spec platform.Worker) (int, error) {
+	// Reject duplicates before dialing: the existing session holds the
+	// worker's (sequential) serve loop, so a second dial would hang until
+	// the dial timeout for nothing. addConn re-checks under the lock in case
+	// two Adds race.
+	f.mu.Lock()
+	err := f.admitLocked(addr, spec)
+	f.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	// Dial outside the lock: a slow or unroutable address must not block
+	// Lease/Return/Idle while we wait on the connect.
+	wc, err := mmnet.DialWorker(addr, &f.opts.Master)
+	i, aerr := f.addConn(addr, wc, spec)
+	if aerr != nil {
+		return 0, aerr
+	}
+	if err != nil {
+		f.log.Warn("worker joined but is down", "worker", i, "addr", addr, "err", err)
+	}
+	return i, nil
+}
+
+// admitLocked checks that a worker may join: a valid spec, a fresh address,
+// an open fleet. The fleet lock must be held.
+func (f *Fleet) admitLocked(addr string, spec platform.Worker) error {
 	if addr == "" {
-		return 0, fmt.Errorf("serve: add worker: empty address")
+		return fmt.Errorf("serve: add worker: empty address")
 	}
 	if spec.Name == "" {
 		spec.Name = addr
 	}
 	if err := spec.Validate(); err != nil {
-		return 0, err
+		return err
 	}
-	// Reject duplicates before dialing: the existing session holds the
-	// worker's (sequential) serve loop, so a second dial would hang until
-	// the dial timeout for nothing. Re-checked under the lock below in case
-	// two Adds race.
-	f.mu.Lock()
+	if f.closed {
+		return fmt.Errorf("serve: fleet is closed")
+	}
 	for _, a := range f.addrs {
 		if a == addr {
-			f.mu.Unlock()
-			return 0, fmt.Errorf("serve: worker %s already registered", addr)
+			return fmt.Errorf("serve: worker %s already registered", addr)
 		}
 	}
-	closed := f.closed
-	f.mu.Unlock()
-	if closed {
-		return 0, fmt.Errorf("serve: fleet is closed")
-	}
-	// Dial outside the lock: a slow or unroutable address must not block
-	// Lease/Return/Idle while we wait on the connect.
-	wc, err := mmnet.DialWorker(addr, &f.opts.Master)
+	return nil
+}
 
+// addConn appends a worker whose session wc is already registered (nil: it
+// starts down and is re-dialed on demand). The fleet owns wc from the call
+// on, on error too.
+func (f *Fleet) addConn(addr string, wc *mmnet.WorkerConn, spec platform.Worker) (int, error) {
+	if spec.Name == "" {
+		spec.Name = addr
+	}
 	f.mu.Lock()
-	if f.closed {
+	if err := f.admitLocked(addr, spec); err != nil {
 		f.mu.Unlock()
 		if wc != nil {
 			wc.Release()
 		}
-		return 0, fmt.Errorf("serve: fleet is closed")
-	}
-	for _, a := range f.addrs {
-		if a == addr {
-			f.mu.Unlock()
-			if wc != nil {
-				wc.Release()
-			}
-			return 0, fmt.Errorf("serve: worker %s already registered", addr)
-		}
+		return 0, err
 	}
 	i := len(f.addrs)
 	f.addrs = append(f.addrs, addr)
@@ -295,15 +333,9 @@ func (f *Fleet) Add(addr string, spec platform.Worker) (int, error) {
 	f.pinging = append(f.pinging, false)
 	f.lastDial = append(f.lastDial, time.Now())
 	if wc != nil {
-		f.conns[i], f.state[i] = wc, StateIdle
-		f.names[i], f.kernels[i] = wc.Name(), wc.Kernel()
+		f.poolLocked(i, wc)
 	}
 	f.mu.Unlock()
-	if err != nil {
-		f.log.Warn("worker joined but is down", "worker", i, "addr", addr, "err", err)
-	} else {
-		f.log.Info("worker joined the fleet", "worker", i, "addr", addr)
-	}
 	return i, nil
 }
 
@@ -394,8 +426,7 @@ func (f *Fleet) redial(i int) {
 	case closed || f.state[i] != StateDown:
 		// The fleet closed (or the slot changed hands) while we dialed.
 	default:
-		f.conns[i], f.state[i] = wc, StateIdle
-		f.names[i], f.kernels[i] = wc.Name(), wc.Kernel()
+		f.poolLocked(i, wc)
 		f.log.Info("worker re-registered", "worker", i, "addr", f.addrs[i])
 		wc = nil // pooled; do not release below
 	}

@@ -171,6 +171,26 @@ func TestFleetLeaseReturnReuse(t *testing.T) {
 	f.Close()
 }
 
+// TestNewFleetConnsOwnsConnsOnError: a rejected NewFleetConns releases the
+// sessions it was handed, so their worker serves the next master at once
+// instead of holding the dial until its timeout.
+func TestNewFleetConnsOwnsConnsOnError(t *testing.T) {
+	addrs := startWorkers(t, 1, nil)
+	opts := FleetOptions{Keepalive: -1, Master: mmnet.MasterOptions{DialTimeout: 2 * time.Second}}
+	wc, err := mmnet.DialWorker(addrs[0], &opts.Master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFleetConns(addrs, []*mmnet.WorkerConn{wc}, homSpecs(2), opts); err == nil {
+		t.Fatal("two specs for one worker accepted")
+	}
+	f, err := NewFleet(addrs, homSpecs(1), opts)
+	if err != nil {
+		t.Fatalf("the rejected session was not handed back: %v", err)
+	}
+	f.Close()
+}
+
 // TestReturnFailedRecyclesSessions checks the poisoned-session guard: after
 // a failed execution the reusable-backend contract gives no idle-worker
 // guarantee, so Return(failed=true) must not pool the surviving connections

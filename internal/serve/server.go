@@ -363,9 +363,21 @@ func NewServer(fleet *Fleet, cfg Config) *Server {
 // is empty and a lease is running, the next scheduling pass attaches it to a
 // running job instead. Returns the fleet index.
 func (s *Server) AddWorker(addr string, spec platform.Worker) (int, error) {
+	return s.addWorker(addr, spec, func() (int, error) { return s.fleet.Add(addr, spec) })
+}
+
+// AddWorkerConn is AddWorker for a worker whose session the caller already
+// dialed, within its own context: wc joins the fleet idle. The fleet owns wc
+// from the call on, on error too.
+func (s *Server) AddWorkerConn(addr string, wc *mmnet.WorkerConn, spec platform.Worker) (int, error) {
+	return s.addWorker(addr, spec, func() (int, error) { return s.fleet.addConn(addr, wc, spec) })
+}
+
+// addWorker runs one fleet growth under addMu and tracks the newcomer.
+func (s *Server) addWorker(addr string, spec platform.Worker, add func() (int, error)) (int, error) {
 	s.addMu.Lock()
 	defer s.addMu.Unlock()
-	i, err := s.fleet.Add(addr, spec)
+	i, err := add()
 	if err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package matmul
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -161,8 +162,9 @@ func TestDistributedAddWorkerGrowsSession(t *testing.T) {
 }
 
 // TestAdaptiveDistributedSurvivesCrash: an adaptive distributed session
-// fails a crashing worker over exactly like the static runtimes, and the
-// session stays usable (elastic failover is not a broken-session event).
+// fails a crashing worker over exactly like the static runtimes. The job
+// must have leased the crashing worker and re-planned, or the crash never
+// happened.
 func TestAdaptiveDistributedSurvivesCrash(t *testing.T) {
 	const r, s, tt, q = 8, 12, 4, 4
 	addrs := startWorkers(t, 2, func(i int) mmnet.WorkerOptions {
@@ -189,6 +191,13 @@ func TestAdaptiveDistributedSurvivesCrash(t *testing.T) {
 	}
 	if err := job.Wait(ctx); err != nil {
 		t.Fatalf("adaptive job did not survive the crash: %v", err)
+	}
+	lease := sess.rts.(*distributedSession).srv.Status().Jobs[0].Workers
+	if !slices.Contains(lease, 1) {
+		t.Fatalf("the job leased workers %v, not the crashing worker 1", lease)
+	}
+	if st, err := sess.Stats(); err != nil || st.Replans == 0 {
+		t.Fatalf("no re-plan after the crash (stats %+v, err %v)", st, err)
 	}
 
 	// Reference: a static in-process session over the same platform.

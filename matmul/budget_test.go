@@ -91,39 +91,48 @@ func remoteJob(t *testing.T, sess *Session, a, b, c *Matrix) {
 	}
 }
 
-// TestRemoteJobAllocationBudget: a warm Remote job over a loopback daemon
-// allocates less than half its operand bytes — before the data path touched
-// its bytes once it was ≈ 3.3× — and its result lands in the caller's own C
-// blocks.
+// TestRemoteJobAllocationBudget: a warm job over a loopback fleet allocates
+// less than half its operand bytes — before the data path touched its bytes
+// once a Remote job was ≈ 3.3× — and its result lands in the caller's own C
+// blocks. Both server-driven runtimes are measured: Remote through the
+// client protocol, Distributed through its embedded server.
 func TestRemoteJobAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts; the budget holds without it")
 	}
 	addr, _, _ := startCountedDaemon(t, [2]*cache.PanelCache{})
-	sess, err := Open(context.Background(), WithRuntime(Remote(addr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	const r, s, tt, q = 12, 12, 1, 80
-	a, b, c := seeded(t, r, s, tt, q, 5)
-	want := c.Clone()
-	if err := Multiply(want, a, b); err != nil {
-		t.Fatal(err)
-	}
-	first := c.Block(0, 0)
-	for i := 0; i < 3; i++ { // warm-up: pools, codecs, sessions
-		remoteJob(t, sess, a, b, c)
-		if i == 0 {
-			if d := c.MaxAbsDiff(want); d != 0 {
-				t.Fatalf("C differs from the serial product by %g", d)
+	quiet := func(int) mmnet.WorkerOptions { return mmnet.WorkerOptions{Heartbeat: time.Hour} }
+	for name, rt := range map[string]Runtime{
+		"remote":      Remote(addr),
+		"distributed": Distributed(startWorkers(t, 2, quiet)...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			sess, err := Open(context.Background(), WithRuntime(rt))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			defer sess.Close()
+			const r, s, tt, q = 12, 12, 1, 80
+			a, b, c := seeded(t, r, s, tt, q, 5)
+			want := c.Clone()
+			if err := Multiply(want, a, b); err != nil {
+				t.Fatal(err)
+			}
+			first := c.Block(0, 0)
+			for i := 0; i < 3; i++ { // warm-up: pools, codecs, sessions
+				remoteJob(t, sess, a, b, c)
+				if i == 0 {
+					if d := c.MaxAbsDiff(want); d != 0 {
+						t.Fatalf("C differs from the serial product by %g", d)
+					}
+				}
+			}
+			if c.Block(0, 0) != first {
+				t.Error("the result was not decoded into the caller's C blocks")
+			}
+			checkAllocBudget(t, 0.5, operandBytes(a, b, c), func() { remoteJob(t, sess, a, b, c) })
+		})
 	}
-	if c.Block(0, 0) != first {
-		t.Error("the result was not decoded into the caller's C blocks")
-	}
-	checkAllocBudget(t, 0.5, operandBytes(a, b, c), func() { remoteJob(t, sess, a, b, c) })
 }
 
 // TestCachingWorkersAllocationBudget is the same budget in the regime the
@@ -196,7 +205,7 @@ func checkAllocBudget(t *testing.T, limit, operand float64, job func()) {
 	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
 	t.Logf("%.2f MB allocated per job for %.2f MB of operands (×%.2f)", perJob/1e6, operand/1e6, perJob/operand)
 	if perJob >= limit*operand {
-		t.Errorf("a warm Remote job allocates %.0f bytes, ≥ %.2f× its %.0f operand bytes", perJob, limit, operand)
+		t.Errorf("a warm job allocates %.0f bytes, ≥ %.2f× its %.0f operand bytes", perJob, limit, operand)
 	}
 }
 

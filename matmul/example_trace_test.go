@@ -10,13 +10,12 @@ import (
 )
 
 // ExampleJob_Trace records a job's execution timeline and exports it as
-// Chrome trace-event JSON. InProcess and Distributed sessions record every
-// job automatically; after Wait the trace carries one span per protocol
-// step — sendC, each sendAB installment, recvC — per worker. Writing it
-// through WriteChromeTrace (here to io.Discard; normally a .json file)
-// produces a timeline loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. Remote sessions return a nil trace: the job executes
-// daemon-side, where mmserve -trace-dir exports the same files.
+// Chrome trace-event JSON. Every job is recorded automatically — in-process
+// as it runs, on Distributed and Remote sessions by the scheduling server;
+// after Wait the trace carries one span per protocol step — sendC, each
+// sendAB installment, recvC — per worker. Writing it through
+// WriteChromeTrace (here to io.Discard; normally a .json file) produces a
+// timeline loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 func ExampleJob_Trace() {
 	ctx := context.Background()
 	sess, err := matmul.Open(ctx, matmul.WithAlgorithm("Het"))

@@ -15,9 +15,9 @@ import (
 type JobState uint8
 
 const (
-	// JobRunning: submitted and not yet terminal (on a Remote session this
-	// covers daemon-side queueing too — the client cannot tell a queued job
-	// from a running one without polling the daemon's stats).
+	// JobRunning: submitted and not yet terminal (on a Distributed or Remote
+	// session this covers queueing for a lease too — the handle does not
+	// tell a queued job from a running one; the server's stats do).
 	JobRunning JobState = iota
 	// JobDone: completed; C holds the product.
 	JobDone
@@ -56,9 +56,9 @@ type JobStatus struct {
 	// Err is the terminal error (nil while running and after success). A
 	// canceled job's Err wraps context.Canceled.
 	Err error
-	// RemoteID is the daemon-side job id of a Remote submission, once the
-	// daemon has accepted it (0 before that, and always 0 on the other
-	// runtimes).
+	// RemoteID is the scheduling server's job id of a Distributed or Remote
+	// submission, once the server has accepted it (0 before that, and
+	// always 0 in-process).
 	RemoteID uint64
 }
 
@@ -73,7 +73,7 @@ type Job struct {
 	state      JobState
 	err        error
 	remoteID   uint64
-	traceFetch func(ctx context.Context) (*trace.Trace, error) // Remote: daemon-side timeline
+	traceFetch func(ctx context.Context) (*trace.Trace, error) // server-side timeline
 	traced     *trace.Trace                                    // memoized successful fetch
 }
 
@@ -105,12 +105,12 @@ func (j *Job) Wait(ctx context.Context) error {
 
 // Trace returns the job's recorded execution timeline: one span per
 // transfer and compute, keyed by worker, on a clock starting at the job's
-// submission. In-process and Distributed jobs record as they run: calling
-// Trace before the job is terminal returns the spans recorded so far, and
-// the full timeline is available after Wait. A Remote job executes — and
-// records — daemon-side; Trace fetches the daemon's recording over the
-// client protocol, so it is nil until the job is terminal there (and on
-// daemons predating trace fetch), and the fetched timeline is memoized.
+// submission. In-process jobs record as they run: calling Trace before the
+// job is terminal returns the spans recorded so far, and the full timeline
+// is available after Wait. Distributed and Remote jobs are recorded by
+// their scheduling server (a Remote one is fetched over the client
+// protocol), so Trace is nil until the job's lease has ended there (and on
+// daemons predating trace fetch); the fetched timeline is memoized.
 // Render the result with Trace.WriteChromeTrace for Perfetto, or inspect
 // the spans directly.
 func (j *Job) Trace() *Trace {
@@ -145,18 +145,11 @@ func (j *Job) Status() JobStatus {
 	return JobStatus{State: j.state, Class: j.class.String(), Err: j.err, RemoteID: j.remoteID}
 }
 
-// setRemoteID records the daemon-side id of a Remote submission.
-func (j *Job) setRemoteID(id uint64) {
+// accepted records the scheduling server's id of a submission and the
+// fetcher of its server-side timeline.
+func (j *Job) accepted(id uint64, fetch func(ctx context.Context) (*trace.Trace, error)) {
 	j.mu.Lock()
-	j.remoteID = id
-	j.mu.Unlock()
-}
-
-// setTraceFetch installs the daemon-side timeline fetcher of a Remote
-// submission, once its job id is known.
-func (j *Job) setTraceFetch(fetch func(ctx context.Context) (*trace.Trace, error)) {
-	j.mu.Lock()
-	j.traceFetch = fetch
+	j.remoteID, j.traceFetch = id, fetch
 	j.mu.Unlock()
 }
 

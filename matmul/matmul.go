@@ -6,20 +6,22 @@
 //
 //   - InProcess — goroutine workers in this process (the verification
 //     engine); supports modeled link pacing and the one-port master.
-//   - Distributed — remote mmworker daemons driven over TCP, dialed once
-//     per session and reused across jobs.
-//   - Remote — an mmserve scheduling daemon: jobs queue there, each gets a
-//     throughput-best leased subset of the daemon's persistent fleet (the
-//     paper's resource selection, per product).
+//   - Distributed — remote mmworker daemons driven over TCP by a scheduling
+//     server embedded in this process: the workers are dialed once per
+//     session, and each job gets a throughput-best leased subset of them
+//     (the paper's resource selection, per product).
+//   - Remote — an mmserve scheduling daemon: the same server in its own
+//     process, over its own persistent fleet, shared by every client.
 //
 // Session.Submit hands in the blocked operands of C ← C + A·B and returns a
 // *Job handle with Wait, Cancel, Done and Status. Every layer underneath is
 // context-aware: cancelling a job's context (or calling Job.Cancel) aborts
 // queued work before it leases anything and interrupts running work
 // mid-transfer — in-process paced transfers wake from their modeled sleeps,
-// distributed masters slam deadlines on in-flight socket I/O, and the
-// mmserve client protocol carries a cancel frame so a daemon-side job is
-// dequeued or its lease aborted without touching other jobs' leases.
+// and a Distributed or Remote job is dequeued by its scheduling server, or
+// its lease's master slams deadlines on the in-flight socket I/O, without
+// touching other jobs' leases (the mmserve client protocol carries the
+// cancel as a frame).
 //
 // Whatever the runtime, a correct execution updates every C block through
 // the same ascending-k kernel sequence, so the computed C is
@@ -74,16 +76,13 @@ type Trace = trace.Trace
 // themselves, not against the serial order).
 func Multiply(c, a, b *Matrix) error { return matrix.Multiply(c, a, b) }
 
-// schedulers maps the public algorithm names onto the paper's scheduling
-// algorithms.
-var schedulers = map[string]sched.Scheduler{
-	"hom": sched.Hom{}, "homi": sched.HomI{}, "het": sched.Het{},
-	"orroml": sched.ORROML{}, "ommoml": sched.OMMOML{}, "oddoml": sched.ODDOML{}, "bmm": sched.BMM{},
-}
-
 // Algorithms lists the accepted WithAlgorithm names.
 func Algorithms() []string {
-	return []string{"Hom", "HomI", "Het", "ORROML", "OMMOML", "ODDOML", "BMM"}
+	var names []string
+	for _, s := range sched.Algorithms() {
+		names = append(names, s.Name())
+	}
+	return names
 }
 
 // config is the resolved option set of one Session.
@@ -96,7 +95,6 @@ type config struct {
 	procs       int
 	platform    *platform.Platform
 	pacing      time.Duration
-	shutdown    bool // Distributed: Close shuts worker daemons down instead of releasing them
 	adaptive    bool
 	drift       float64
 	panelCache  bool
@@ -105,7 +103,7 @@ type config struct {
 
 	// explicit-set markers, so runtimes can reject options that do not apply
 	// to them instead of silently ignoring them.
-	setAlgorithm, setPipelined, setOnePort, setProcs, setPlatform, setPacing, setShutdown, setAdaptive, setPanelCache, setRedundancy bool
+	setAlgorithm, setPipelined, setOnePort, setProcs, setPlatform, setPacing, setAdaptive, setPanelCache, setRedundancy bool
 }
 
 // redundant reports whether this session's jobs run through the k-of-n gate.
@@ -131,18 +129,18 @@ func WithRuntime(rt Runtime) Option {
 // Default: Het, the paper's best-of-eight heterogeneous meta-algorithm.
 func WithAlgorithm(name string) Option {
 	return func(c *config) error {
-		s, ok := schedulers[strings.ToLower(name)]
-		if !ok {
-			return fmt.Errorf("matmul: unknown algorithm %q (have %s)", name, strings.Join(Algorithms(), ", "))
+		s, err := sched.Lookup(name)
+		if err != nil {
+			return fmt.Errorf("matmul: %w", err)
 		}
-		c.scheduler, c.algorithm, c.setAlgorithm = s, name, true
+		c.scheduler, c.algorithm, c.setAlgorithm = s, s.Name(), true
 		return nil
 	}
 }
 
 // WithPipelined selects between the concurrent dispatch core (true, the
-// default) and the strictly sequential op loop. C is bitwise-identical
-// either way.
+// default) and the strictly sequential op loop, which only the InProcess
+// runtime runs. C is bitwise-identical either way.
 func WithPipelined(on bool) Option {
 	return func(c *config) error {
 		c.pipelined, c.setPipelined = on, true
@@ -174,7 +172,8 @@ func WithProcs(n int) Option {
 // that scheduling plans against. In-process it defaults to a small
 // heterogeneous testbed; distributed it defaults to one homogeneous slot
 // per dialed worker and, when given, must describe exactly the dialed
-// workers in order.
+// workers in order — each job's resource selection picks its lease from
+// these specs.
 func WithPlatform(workers ...Worker) Option {
 	return func(c *config) error {
 		pl, err := platform.New(workers...)
@@ -199,28 +198,19 @@ func WithPacing(d time.Duration) Option {
 	}
 }
 
-// WithWorkerShutdown makes Close of a Distributed session shut the worker
-// daemons down instead of releasing their sessions back to their accept
-// loops. One-shot drivers (mmrun) want this; services and tests do not.
-// Only the Distributed runtime accepts it.
-func WithWorkerShutdown() Option {
-	return func(c *config) error {
-		c.shutdown, c.setShutdown = true, true
-		return nil
-	}
-}
-
 // WithAdaptive turns on the adaptive (elastic) runtime for InProcess and
 // Distributed sessions: the session maintains live per-worker throughput
 // estimates (EWMA over every observed transfer and compute, seeded from the
 // declared platform), jobs run under the engine's elastic policy — un-dispatched
 // chunks are re-planned onto the live estimates whenever a worker departs,
 // a worker joins (Session.AddWorker, Distributed only), or an estimate
-// drifts past the threshold — and Session.Stats exposes the estimates. The
-// computed C stays bitwise-identical under every re-plan. drift sets the
-// re-plan threshold as a relative estimate change; 0 selects the engine
-// default (0.5), negative disables drift re-planning while keeping
-// estimates, joins and departures.
+// drifts past the threshold — and Session.Stats exposes the estimates. On
+// a Distributed session the estimates also drive each job's resource
+// selection, and an idle worker is attached to a running job when no queued
+// job needs it. The computed C stays bitwise-identical under every re-plan.
+// drift sets the re-plan threshold as a relative estimate change; 0 selects
+// the engine default (0.5), negative disables drift re-planning while
+// keeping estimates, joins and departures.
 //
 // A Remote session rejects this option: elasticity lives daemon-side there
 // (mmserve -adaptive, mmworker -join).
@@ -232,12 +222,13 @@ func WithAdaptive(drift float64) Option {
 }
 
 // WithPanelCache toggles operand-panel caching on runtimes with a wire
-// (default on). A Distributed session then opens a cache epoch per job —
-// workers that kept a submitted operand's panels from an earlier job skip
-// those transfers — and a Remote session ships the operands' digests with
-// each submission so the daemon can do the same and route jobs by operand
-// affinity. Workers without a cache (mmworker -cache-mb 0) degrade per link
-// via the handshake; the computed C is bitwise-identical either way. The
+// (default on). Each job then carries its operands' digests to the
+// scheduling server — the embedded one of a Distributed session, the
+// daemon of a Remote one — which routes it toward workers already holding
+// those panels and opens a cache epoch per lease, so workers that kept a
+// panel from an earlier job skip its transfer. Workers without a cache
+// (mmworker -cache-mb 0) degrade per link via the handshake; the computed
+// C is bitwise-identical either way. The
 // InProcess runtime rejects the option: its workers share the process
 // memory, so there is nothing to cache.
 func WithPanelCache(on bool) Option {
@@ -283,9 +274,10 @@ func WithRedundancy(mode string, r int) Option {
 }
 
 // Session is an open connection to one runtime: the single way in. A
-// Session is safe for concurrent Submits; jobs on an InProcess or Remote
-// session run concurrently, a Distributed session executes them one at a
-// time over its shared worker links.
+// Session is safe for concurrent Submits, and on every runtime jobs run
+// concurrently: in-process on the shared goroutine workers, Distributed and
+// Remote on disjoint leases of the fleet, queueing while no worker is
+// idle. A failed or cancelled job leaves the session usable.
 type Session struct {
 	cfg config
 	rts runtimeSession
@@ -354,9 +346,10 @@ func Classes() []string { return []string{"interactive", "standard", "batch"} }
 // "batch"; default standard). On a Remote session the class rides the
 // submission frame to the mmserve daemon, where the priority queue policy
 // dispatches interactive jobs first and token-bucket admission buckets by
-// class (see mmserve -queue and -admission). The other runtimes have no
-// multi-job queue to reorder: the class is recorded on the Job handle
-// (Status().Class) and otherwise inert.
+// class (see mmserve -queue and -admission). A Distributed session's
+// embedded server queues in submission order without admission control,
+// and the InProcess runtime has no queue: there the class is recorded on
+// the Job handle (Status().Class) and otherwise inert.
 func WithClass(name string) SubmitOption {
 	return func(sc *submitConfig) error {
 		class, err := serve.ParseClass(name)
@@ -434,10 +427,10 @@ func (s *Session) Submit(ctx context.Context, a, b any, c *Matrix, opts ...Submi
 	jctx, jcancel := context.WithCancel(ctx)
 	unlink := context.AfterFunc(s.ctx, jcancel) // session close/cancel fans out
 	j := &Job{cancel: jcancel, done: make(chan struct{}), class: sc.class}
-	if _, ok := s.rts.(localTracer); ok {
-		// Runs that execute in this process record their timeline as they go;
-		// Job.Trace exposes it once the job is terminal. Remote jobs execute
-		// daemon-side — recording lives there (mmserve -trace-dir).
+	if _, ok := s.rts.(*inProcessSession); ok {
+		// In-process runs record their timeline as they go; Job.Trace exposes
+		// it. Distributed and Remote jobs run under a scheduling server, which
+		// records them itself.
 		j.rec = trace.NewRecorder(s.cfg.algorithm)
 		jctx = trace.NewContext(jctx, j.rec)
 	}
@@ -512,38 +505,23 @@ type SessionStats struct {
 	Workers    []WorkerStats
 }
 
-// statser is implemented by runtime sessions that can report SessionStats.
-type statser interface {
-	stats(ctx context.Context) (SessionStats, error)
-}
-
-// workerAdder is implemented by runtime sessions that accept workers joining
-// after Open.
-type workerAdder interface {
-	addWorker(ctx context.Context, addr string, spec Worker) (int, error)
-}
-
 // Stats reports the session's per-worker statistics: the declared platform
 // and — on an adaptive session (WithAdaptive), or a Remote session whose
 // daemon runs adaptive — the live measured throughput estimates. On Remote
 // the snapshot is fetched from the daemon.
 func (s *Session) Stats() (SessionStats, error) {
-	st, ok := s.rts.(statser)
-	if !ok {
-		return SessionStats{}, fmt.Errorf("matmul: this runtime reports no statistics")
-	}
 	ctx, cancel := context.WithTimeout(s.ctx, 30*time.Second)
 	defer cancel()
-	return st.stats(ctx)
+	return s.rts.stats(ctx)
 }
 
 // AddWorker joins one more mmworker daemon to a Distributed session after
-// Open — the elastic half of fleet membership. The worker becomes part of
-// the session's platform for every subsequent job, and on an adaptive
-// session (WithAdaptive) it is also folded into the job currently running:
-// the elastic executor re-plans un-dispatched chunks onto it. spec is the
-// worker's declared platform description (at most one; default c=1, w=1,
-// m=60). Returns the new worker's index.
+// Open — the elastic half of fleet membership. The address is dialed within
+// ctx; once registered the worker is leasable by every later job, and on an
+// adaptive session (WithAdaptive) it is also attached to a running job
+// when no queued job needs it: the elastic executor re-plans un-dispatched
+// chunks onto it. spec is the worker's declared platform description (at
+// most one; default c=1, w=1, m=60). Returns the new worker's index.
 //
 // InProcess sessions reject AddWorker (goroutine workers are fixed at
 // Open); Remote sessions reject it too — register with the daemon instead
@@ -559,7 +537,7 @@ func (s *Session) AddWorker(ctx context.Context, addr string, spec ...Worker) (i
 	if len(spec) == 1 {
 		w = spec[0]
 	}
-	ad, ok := s.rts.(workerAdder)
+	ds, ok := s.rts.(*distributedSession)
 	if !ok {
 		return 0, fmt.Errorf("matmul: this runtime cannot add workers after Open (Distributed sessions can; an mmserve fleet grows via mmworker -join)")
 	}
@@ -569,13 +547,13 @@ func (s *Session) AddWorker(ctx context.Context, addr string, spec ...Worker) (i
 		return 0, fmt.Errorf("matmul: session is closed")
 	}
 	s.mu.Unlock()
-	return ad.addWorker(ctx, addr, w)
+	return ds.addWorker(ctx, addr, w)
 }
 
 // Close cancels every outstanding job, waits for them to unwind, and closes
 // the runtime (releasing distributed worker sessions back to their daemons,
-// unless WithWorkerShutdown ends them). Idempotent; safe after a SIGINT
-// cancellation has already torn the jobs down.
+// which keep serving). Idempotent; safe after a SIGINT cancellation has
+// already torn the jobs down.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {

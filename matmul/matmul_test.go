@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math/rand"
 	stdnet "net"
+	"strings"
 	"testing"
 	"time"
 
@@ -344,6 +345,9 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Open(ctx, WithRuntime(Distributed("127.0.0.1:1")), WithProcs(4)); err == nil {
 		t.Error("WithProcs accepted on the Distributed runtime")
 	}
+	if _, err := Open(ctx, WithRuntime(Distributed("127.0.0.1:1")), WithPipelined(false)); err == nil {
+		t.Error("WithPipelined(false) accepted on the Distributed runtime")
+	}
 	if _, err := Open(ctx, WithRuntime(Remote("127.0.0.1:1")), WithAlgorithm("Het")); err == nil {
 		t.Error("WithAlgorithm accepted on the Remote runtime")
 	}
@@ -376,9 +380,9 @@ func TestMatrixAliasInterop(t *testing.T) {
 	}
 }
 
-// TestDistributedQueuedJobCancelPrompt: a job waiting its turn behind a
-// Distributed session's in-flight job must observe cancellation
-// immediately, not after the running job drains.
+// TestDistributedQueuedJobCancelPrompt: a job queued behind a Distributed
+// session's in-flight job must observe cancellation immediately, not after
+// the running job drains. One worker, so the second job can only queue.
 func TestDistributedQueuedJobCancelPrompt(t *testing.T) {
 	stalled := func(i int) mmnet.WorkerOptions {
 		return mmnet.WorkerOptions{
@@ -387,7 +391,7 @@ func TestDistributedQueuedJobCancelPrompt(t *testing.T) {
 			StallFor:           10 * time.Second,
 		}
 	}
-	sess, err := Open(context.Background(), WithRuntime(Distributed(startWorkers(t, 2, stalled)...)))
+	sess, err := Open(context.Background(), WithRuntime(Distributed(startWorkers(t, 1, stalled)...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,23 +401,15 @@ func TestDistributedQueuedJobCancelPrompt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the first job's goroutine holds the session semaphore
-	// before the second submission exists: Submit order does not promise
-	// dispatch order (each job races for the semaphore), and this test's
-	// roles depend on job one running and job two queueing.
-	ds := sess.rts.(*distributedSession)
-	for deadline := time.Now().Add(5 * time.Second); len(ds.sem) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never took the session semaphore")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Submit order does not promise dispatch order: let job one lease the
+	// worker before job two exists.
+	waitServerState(t, sess, running, "running")
 	a2, b2, c2 := seeded(t, 6, 9, 4, 8, 22)
-	queued, err := sess.Submit(context.Background(), a2, b2, c2) // parks on the session semaphore
+	queued, err := sess.Submit(context.Background(), a2, b2, c2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond)
+	waitServerState(t, sess, queued, "queued")
 	queued.Cancel()
 	start := time.Now()
 	if err := queued.Wait(context.Background()); !errors.Is(err, context.Canceled) {
@@ -426,4 +422,133 @@ func TestDistributedQueuedJobCancelPrompt(t *testing.T) {
 	if err := running.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("running job returned %v, want context.Canceled", err)
 	}
+}
+
+// waitServerState polls a Distributed session's embedded server until job
+// j is in state there.
+func waitServerState(t *testing.T, sess *Session, j *Job, state string) {
+	t.Helper()
+	srv := sess.rts.(*distributedSession).srv
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		id := j.Status().RemoteID
+		for _, js := range srv.Status().Jobs {
+			if id != 0 && js.ID == id && js.State == state {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d never reached state %s", id, state)
+		}
+	}
+}
+
+// TestDistributedSessionSurvivesAbortedJob: cancelling a job mid-run leaves
+// a Distributed session usable — the aborted lease's workers are recycled
+// and re-dialed, and the next job on the same session computes C bitwise.
+func TestDistributedSessionSurvivesAbortedJob(t *testing.T) {
+	stalled := func(i int) mmnet.WorkerOptions {
+		return mmnet.WorkerOptions{
+			Heartbeat:          50 * time.Millisecond,
+			StallAfterInstalls: 1,
+			StallFor:           time.Second,
+		}
+	}
+	ctx := context.Background()
+	sess, err := Open(ctx, WithRuntime(Distributed(startWorkers(t, 2, stalled)...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	a, b, c := seeded(t, 8, 16, 6, 8, 11)
+	aborted, err := sess.Submit(ctx, a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitServerState(t, sess, aborted, "running")
+	aborted.Cancel()
+	if err := aborted.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job returned %v, want context.Canceled", err)
+	}
+
+	const r, s, tt, q, seed = 6, 9, 4, 8, 42
+	want := engineReference(t, r, s, tt, q, seed)
+	a, b, c = seeded(t, r, s, tt, q, seed)
+	job, err := sess.Submit(ctx, a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(ctx); err != nil {
+		t.Fatalf("job after an aborted one: %v", err)
+	}
+	if d := c.MaxAbsDiff(want); d != 0 {
+		t.Errorf("C after an aborted job differs by %g (want bitwise equal)", d)
+	}
+}
+
+// TestDistributedOpenNamesUnreachableWorker: Open needs every worker, and
+// its error says which one it could not reach. The reachable one is handed
+// back to its daemon, which serves the next session.
+func TestDistributedOpenNamesUnreachableWorker(t *testing.T) {
+	live := startWorkers(t, 1, nil)[0]
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	ctx := context.Background()
+	if _, err := Open(ctx, WithRuntime(Distributed(live, dead))); err == nil || !strings.Contains(err.Error(), dead) {
+		t.Fatalf("Open with %s unreachable returned %v, want an error naming it", dead, err)
+	}
+	sess, err := Open(ctx, WithRuntime(Distributed(live)))
+	if err != nil {
+		t.Fatalf("the reachable worker was not handed back: %v", err)
+	}
+	sess.Close()
+}
+
+// TestDistributedDialsHonorCtx: Open and AddWorker dial within their
+// context — a peer that accepts but never registers costs the caller's
+// budget, not the dial timeout.
+func TestDistributedDialsHonorCtx(t *testing.T) {
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+		}
+	}()
+	mute := ln.Addr().String()
+	bounded := func(what string, dial func(ctx context.Context) error) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		if err := dial(ctx); err == nil {
+			t.Fatalf("%s of a mute peer succeeded", what)
+		}
+		if elapsed := time.Since(start); elapsed > 3*time.Second {
+			t.Fatalf("%s took %v, want it bounded by the 200ms context budget", what, elapsed)
+		}
+	}
+	bounded("Open", func(ctx context.Context) error {
+		_, err := Open(ctx, WithRuntime(Distributed(mute)))
+		return err
+	})
+	sess, err := Open(context.Background(), WithRuntime(Distributed(startWorkers(t, 1, nil)...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	bounded("AddWorker", func(ctx context.Context) error {
+		_, err := sess.AddWorker(ctx, mute)
+		return err
+	})
 }

@@ -102,32 +102,39 @@ func TestWithRedundancyValidation(t *testing.T) {
 	}
 }
 
-// TestRemoteJobTraceFetched: a remote job's trace is not recorded in this
-// process — Trace() must fetch it from the daemon after completion, and keep
-// returning it (memoized) afterwards.
+// TestRemoteJobTraceFetched: a job run by a scheduling server — a Remote
+// daemon or a Distributed session's embedded one — is not recorded by the
+// facade: Trace() must fetch the server's recording after completion, and
+// keep returning it (memoized) afterwards.
 func TestRemoteJobTraceFetched(t *testing.T) {
-	daemon := startDaemon(t, 2, nil)
-	sess, err := Open(context.Background(), WithRuntime(Remote(daemon)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	a, b, c := seeded(t, 6, 9, 4, 8, 45)
-	job, err := sess.Submit(context.Background(), a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tr := job.Trace()
-	if tr == nil {
-		t.Fatal("remote job trace unavailable after Wait")
-	}
-	if len(tr.Transfers) == 0 {
-		t.Error("fetched trace has no transfers")
-	}
-	if again := job.Trace(); again != tr {
-		t.Error("second Trace() call refetched instead of memoizing")
+	for name, opts := range runtimes(t, nil) {
+		if name == "inprocess" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			sess, err := Open(context.Background(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			a, b, c := seeded(t, 6, 9, 4, 8, 45)
+			job, err := sess.Submit(context.Background(), a, b, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			tr := job.Trace()
+			if tr == nil {
+				t.Fatal("job trace unavailable after Wait")
+			}
+			if len(tr.Transfers) == 0 {
+				t.Error("fetched trace has no transfers")
+			}
+			if again := job.Trace(); again != tr {
+				t.Error("second Trace() call refetched instead of memoizing")
+			}
+		})
 	}
 }

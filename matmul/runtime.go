@@ -3,7 +3,6 @@ package matmul
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,36 +19,40 @@ import (
 	"repro/internal/trace"
 )
 
-// trackerUnit seeds a session's estimate tracker from the declared platform
-// when no pacing gives the model units a real duration: declared costs
-// become microseconds, and the first observed job pulls every used worker
-// onto the measured scale (only the declared ratios matter).
+// trackerUnit seeds an in-process session's estimate tracker from the
+// declared platform when no pacing gives the model units a real duration:
+// declared costs become microseconds, and the first observed job pulls every
+// used worker onto the measured scale (only the declared ratios matter).
 const trackerUnit = time.Microsecond
 
-// statsFromTracker renders the shared stats shape from a platform and an
-// optional tracker.
-// workerKernel resolves worker i's kernel name; nil means every worker runs
-// in this process and shares the session's kernel.
-func statsFromTracker(pl *platform.Platform, tr *adapt.Tracker, replans int, workerKernel func(i int) string) SessionStats {
-	st := SessionStats{Kernel: kernel.Name(), Adaptive: tr != nil, Replans: replans}
-	var est []adapt.Estimate
-	if tr != nil {
-		est = tr.Snapshot()
+// renderStats renders a serve.Server snapshot — the embedded one of a
+// Distributed session, or a Remote daemon's — in the session shape.
+func renderStats(ds serve.Stats) SessionStats {
+	st := SessionStats{Kernel: ds.Kernel, Adaptive: ds.Adaptive, Redundancy: ds.Redundancy}
+	if dc := ds.Cache; dc != nil {
+		st.PanelCache = &PanelCacheStats{
+			PanelHits: dc.PanelHits, PanelMisses: dc.PanelMisses,
+			ASentBytes: dc.ASentBytes, ASavedBytes: dc.ASavedBytes,
+			BSentBytes: dc.BSentBytes, BSavedBytes: dc.BSavedBytes,
+			ResidentBytes: dc.ResidentBytes,
+		}
 	}
-	for i, w := range pl.Workers {
-		ws := WorkerStats{Name: w.Name, Spec: w}
-		if kern := workerKernel(i); kern != "" {
-			ws.Kernel = kern
+	for _, w := range ds.Workers {
+		ws := WorkerStats{Name: w.Name, Kernel: w.Kernel, Spec: w.Spec, Samples: w.Samples}
+		if ws.Name == "" {
+			ws.Name = w.Addr
 		}
-		if i < len(est) {
-			e := est[i]
-			if e.Transfers+e.Computes > 0 {
-				ws.CPerBlock = time.Duration(e.C * float64(time.Second))
-				ws.WPerUpdate = time.Duration(e.W * float64(time.Second))
-				ws.Samples = e.Transfers + e.Computes
-			}
+		if w.Samples > 0 {
+			ws.CPerBlock = time.Duration(w.EstC * float64(time.Millisecond))
+			ws.WPerUpdate = time.Duration(w.EstW * float64(time.Millisecond))
 		}
+		ws.CacheHits, ws.CacheMisses = w.CacheHits, w.CacheMisses
+		ws.CacheSentBytes, ws.CacheSavedBytes = w.SentBytes, w.SavedBytes
+		ws.ResidentPanels, ws.ResidentBytes = w.ResidentPanels, w.ResidentBytes
 		st.Workers = append(st.Workers, ws)
+	}
+	for _, js := range ds.Jobs {
+		st.Replans += js.Replans
 	}
 	return st
 }
@@ -71,14 +74,9 @@ type runtimeSession interface {
 	// caching runtime can reach their memoized panel digests. It reports
 	// cancellation as an error wrapping context.Canceled.
 	run(ctx context.Context, j *Job, a, b *Operand, c *Matrix) error
+	stats(ctx context.Context) (SessionStats, error)
 	close() error
 }
-
-// localTracer marks runtime sessions whose executor runs in this process,
-// so Submit can thread a trace recorder through the job's context and
-// Job.Trace can return the recorded timeline. Remote sessions are not one:
-// the daemon executes the job, and recording lives there.
-type localTracer interface{ tracesLocally() }
 
 // InProcess is the verification runtime: goroutine workers in this process,
 // channels as links, optionally paced at the platform's link costs
@@ -88,9 +86,6 @@ func InProcess() Runtime { return inProcessRuntime{} }
 type inProcessRuntime struct{}
 
 func (inProcessRuntime) open(_ context.Context, cfg *config) (runtimeSession, error) {
-	if cfg.setShutdown {
-		return nil, fmt.Errorf("matmul: WithWorkerShutdown applies to the Distributed runtime only; there are no worker daemons in-process")
-	}
 	if cfg.setPanelCache {
 		return nil, fmt.Errorf("matmul: WithPanelCache applies to runtimes with a wire (Distributed, Remote); in-process workers share the operands already")
 	}
@@ -125,40 +120,53 @@ type inProcessSession struct {
 
 func (s *inProcessSession) run(ctx context.Context, _ *Job, ah, bh *Operand, c *Matrix) error {
 	a, b := ah.mat, bh.mat
-	plan, err := schedule(s.cfg, s.pl, a, c)
+	res, err := s.cfg.scheduler.Schedule(s.pl, sched.Instance{R: c.Rows, S: c.Cols, T: a.Cols})
 	if err != nil {
-		return err
+		return fmt.Errorf("matmul: schedule %s: %w", s.cfg.algorithm, err)
 	}
+	plan := res.Plan()
 	ecfg := engine.Config{
 		Workers: s.pl.P(), T: a.Cols,
 		Platform: s.pl, TimePerUnit: s.cfg.pacing,
 		Pipelined: s.cfg.pipelined, OnePort: s.cfg.onePort, Procs: s.cfg.procs,
 	}
-	// The in-process fleet is fixed (goroutine workers neither crash nor
-	// join), so elasticity here means estimate tracking plus drift-triggered
-	// rebalancing of the un-dispatched chunks: no join feed.
-	if ecfg.Options, err = runOptions(s.cfg, plan, a, c, s.pl.P(), s.tracker, nil, &s.replans); err != nil {
+	if ecfg.Options, err = runOptions(s.cfg, plan, a, c, s.pl.P(), s.tracker, &s.replans); err != nil {
 		return err
 	}
 	return engine.RunContext(ctx, ecfg, plan, a, b, c)
 }
 
 func (s *inProcessSession) stats(context.Context) (SessionStats, error) {
-	st := statsFromTracker(s.pl, s.tracker, int(s.replans.Load()), func(int) string { return kernel.Name() })
+	st := SessionStats{Kernel: kernel.Name(), Adaptive: s.tracker != nil, Replans: int(s.replans.Load())}
 	if s.cfg.redundant() {
 		st.Redundancy = string(s.cfg.redundancy)
+	}
+	var est []adapt.Estimate
+	if s.tracker != nil {
+		est = s.tracker.Snapshot()
+	}
+	for i, w := range s.pl.Workers {
+		ws := WorkerStats{Name: w.Name, Kernel: kernel.Name(), Spec: w}
+		if i < len(est) && est[i].Transfers+est[i].Computes > 0 {
+			e := est[i]
+			ws.CPerBlock = time.Duration(e.C * float64(time.Second))
+			ws.WPerUpdate = time.Duration(e.W * float64(time.Second))
+			ws.Samples = e.Transfers + e.Computes
+		}
+		st.Workers = append(st.Workers, ws)
 	}
 	return st, nil
 }
 
 func (s *inProcessSession) close() error { return nil }
 
-func (s *inProcessSession) tracesLocally() {}
-
-// Distributed drives remote mmworker daemons over TCP: the session dials
-// every address at Open and replays plans over those links. Jobs execute
-// one at a time (the links are the session's single fleet); submit to an
-// mmserve daemon via Remote for concurrent multi-job scheduling.
+// Distributed drives remote mmworker daemons over TCP through an embedded
+// scheduling server — the mmserve daemon's own control plane, in this
+// process and without a client socket. Open dials every address; each job
+// then gets the paper's per-product resource selection over the fleet,
+// jobs submitted concurrently run concurrently on disjoint leases, a worker
+// lost mid-job is failed over and re-dialed for later jobs, and an aborted
+// job leaves the session usable.
 func Distributed(addrs ...string) Runtime { return distributedRuntime{addrs: addrs} }
 
 type distributedRuntime struct{ addrs []string }
@@ -173,196 +181,92 @@ func (r distributedRuntime) open(ctx context.Context, cfg *config) (runtimeSessi
 	if cfg.setProcs {
 		return nil, fmt.Errorf("matmul: WithProcs applies to the InProcess runtime only; remote workers set their own parallelism via mmworker -procs")
 	}
-	pl := cfg.platform
-	if pl == nil {
-		// Remote capabilities are not probed; model them as homogeneous.
-		pl = platform.Homogeneous(len(r.addrs), 1, 1, 60)
-	} else if pl.P() != len(r.addrs) {
-		return nil, fmt.Errorf("matmul: platform describes %d workers but %d addresses were dialed", pl.P(), len(r.addrs))
+	if !cfg.pipelined {
+		return nil, fmt.Errorf("matmul: WithPipelined(false) applies to the InProcess runtime only; distributed jobs run on the concurrent core")
 	}
-	m, err := mmnet.DialContext(ctx, r.addrs, &mmnet.MasterOptions{OnePort: cfg.onePort})
+	// Remote capabilities are not probed; by default model them as
+	// homogeneous.
+	specs := platform.Homogeneous(len(r.addrs), 1, 1, 60).Workers
+	if pl := cfg.platform; pl != nil {
+		if pl.P() != len(r.addrs) {
+			return nil, fmt.Errorf("matmul: platform describes %d workers but %d addresses were given", pl.P(), len(r.addrs))
+		}
+		specs = pl.Workers
+	}
+	// Dial every worker within ctx before the fleet exists, so an
+	// unreachable address fails Open by name instead of starting down.
+	mopts := mmnet.MasterOptions{OnePort: cfg.onePort}
+	m, err := mmnet.DialContext(ctx, r.addrs, &mopts)
 	if err != nil {
 		return nil, err
 	}
-	sess := &distributedSession{cfg: cfg, pl: pl, m: m, sem: make(chan struct{}, 1)}
-	if cfg.adaptive {
-		sess.tracker = adapt.NewTracker(pl.Workers, trackerUnit, 0)
-		sess.join = make(chan int, 16)
+	fleet, err := serve.NewFleetConns(r.addrs, m.Detach(), specs, serve.FleetOptions{Master: mopts})
+	if err != nil {
+		return nil, err
 	}
-	return sess, nil
+	srv := serve.NewServer(fleet, serve.Config{
+		Scheduler: cfg.scheduler,
+		Adaptive:  cfg.adaptive, DriftThreshold: cfg.drift,
+		Redundancy: string(cfg.redundancy), RedundancyFactor: cfg.redundancyR,
+		NoCache: !cfg.panelCache,
+	})
+	return &distributedSession{fleet: fleet, srv: srv, mopts: mopts, cacheOn: cfg.panelCache}, nil
 }
 
 type distributedSession struct {
-	cfg *config
-	m   *mmnet.Master
-
-	// sem serializes jobs over the shared links. A semaphore rather than a
-	// mutex so a job cancelled while waiting its turn leaves immediately
-	// instead of riding out the job in flight.
-	sem chan struct{}
-
-	tracker *adapt.Tracker // non-nil iff WithAdaptive
-	join    chan int       // elastic join feed into the running job
-	replans atomic.Int32
-	// addMu pairs a master AddWorker with the platform/tracker growth, so
-	// the three index spaces cannot interleave differently.
-	addMu sync.Mutex
-
-	mu     sync.Mutex         // guards broken and pl
-	pl     *platform.Platform // grows with AddWorker
-	broken error              // first failed run; the links are tainted after it
+	fleet   *serve.Fleet
+	srv     *serve.Server
+	mopts   mmnet.MasterOptions
+	cacheOn bool
 }
 
-func (s *distributedSession) run(ctx context.Context, _ *Job, ah, bh *Operand, c *Matrix) error {
-	a, b := ah.mat, bh.mat
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		return fmt.Errorf("matmul: job canceled while queued behind the session's running job: %w", ctx.Err())
+func (s *distributedSession) run(ctx context.Context, j *Job, ah, bh *Operand, c *Matrix) error {
+	var jp *cache.JobPanels
+	if s.cacheOn {
+		jp = jobPanels(ah, bh)
 	}
-	s.mu.Lock()
-	broken, pl := s.broken, s.pl
-	s.mu.Unlock()
-	if broken != nil {
-		return fmt.Errorf("matmul: session unusable after an aborted job (%v); open a fresh one", broken)
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("matmul: job canceled before dispatch: %w", err)
-	}
-	plan, err := schedule(s.cfg, pl, a, c)
+	id, err := s.srv.SubmitClass(ah.mat, bh.mat, c, jp, j.class)
 	if err != nil {
 		return err
 	}
-	if s.cfg.panelCache {
-		// Open the job's cache epoch over the shared links (the sem makes
-		// jobs sequential, so epochs cannot interleave): worker daemons that
-		// kept these operands' panels from an earlier job skip the transfers.
-		s.m.BeginJob(jobPanels(ah, bh))
-		defer s.m.EndJob()
-	}
-	// A redundancy-plan error aborts before any dispatch, so the links stay
-	// clean for the next job.
-	opts, err := runOptions(s.cfg, plan, a, c, pl.P(), s.tracker, s.join, &s.replans)
-	if err != nil {
+	j.accepted(id, func(context.Context) (*trace.Trace, error) { return s.srv.JobTrace(id) })
+	stop := context.AfterFunc(ctx, func() { s.srv.Cancel(id) })
+	defer stop()
+	if err := s.srv.Wait(id); err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			// The caller ended the job: report why, as Remote does (an
+			// expired deadline is a failure, not a cancellation).
+			return fmt.Errorf("matmul: job %d ended: %w (server: %v)", id, ctxErr, err)
+		}
 		return err
 	}
-	if s.cfg.pipelined { // Open rejects an adaptive or redundant session without it
-		err = s.m.Execute(ctx, a.Cols, plan, a, b, c, opts)
-	} else {
-		err = s.m.RunContext(ctx, a.Cols, plan, a, b, c)
-	}
-	if err != nil {
-		// The reusable-backend contract covers successful runs only: after a
-		// failure (cancellation included) workers may hold chunks, so the
-		// session must not dispatch further jobs over these links.
-		s.mu.Lock()
-		s.broken = err
-		s.mu.Unlock()
-	}
-	return err
+	return nil
 }
 
-// addWorker implements Session.AddWorker: dial, join the master (mid-run
-// included), grow the scheduling platform for subsequent jobs, and — when
-// adaptive — track the newcomer and feed its index to the running job's
-// elastic executor.
+// addWorker implements Session.AddWorker: dial within ctx, then hand the
+// session to the server, which grows the fleet (and the estimates of an
+// adaptive session) and may attach the newcomer to a running job.
 func (s *distributedSession) addWorker(ctx context.Context, addr string, spec Worker) (int, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
-	s.addMu.Lock()
-	defer s.addMu.Unlock()
-	wc, err := mmnet.DialWorkerContext(ctx, addr, &mmnet.MasterOptions{OnePort: s.cfg.onePort})
+	wc, err := mmnet.DialWorkerContext(ctx, addr, &s.mopts)
 	if err != nil {
 		return 0, err
 	}
-	w, err := s.m.AddWorker(wc)
-	if err != nil {
-		wc.Release()
-		return 0, err
-	}
-	if spec.Name == "" {
-		spec.Name = addr
-	}
-	s.mu.Lock()
-	ws := append(append([]platform.Worker(nil), s.pl.Workers...), spec)
-	grown, perr := platform.New(ws...)
-	if perr == nil {
-		s.pl = grown
-	}
-	s.mu.Unlock()
-	if perr != nil {
-		return 0, perr
-	}
-	if s.tracker != nil {
-		s.tracker.Grow(spec, trackerUnit)
-		select {
-		case s.join <- w:
-		default:
-			// No run is draining the channel and the buffer is full; the
-			// worker still serves every subsequent job via the grown platform.
-		}
-	}
-	return w, nil
+	return s.srv.AddWorkerConn(addr, wc, spec)
 }
 
 func (s *distributedSession) stats(context.Context) (SessionStats, error) {
-	s.mu.Lock()
-	pl := s.pl
-	s.mu.Unlock()
-	kernels := s.m.WorkerKernels()
-	st := statsFromTracker(pl, s.tracker, int(s.replans.Load()), func(i int) string {
-		if i < len(kernels) {
-			return kernels[i]
-		}
-		return ""
-	})
-	if s.cfg.panelCache {
-		// The session drives one master for its whole life, so the per-link
-		// counters are already session totals.
-		tot := &PanelCacheStats{}
-		for i, ws := range s.m.CacheStats() {
-			if i < len(st.Workers) {
-				w := &st.Workers[i]
-				w.CacheHits, w.CacheMisses = ws.PanelHits, ws.PanelMisses
-				w.CacheSentBytes = ws.ASentBytes + ws.BSentBytes
-				w.CacheSavedBytes = ws.ASavedBytes + ws.BSavedBytes
-				w.ResidentPanels = int(ws.ResidentPanels)
-				w.ResidentBytes = ws.ResidentBytes
-			}
-			tot.PanelHits += ws.PanelHits
-			tot.PanelMisses += ws.PanelMisses
-			tot.ASentBytes += ws.ASentBytes
-			tot.ASavedBytes += ws.ASavedBytes
-			tot.BSentBytes += ws.BSentBytes
-			tot.BSavedBytes += ws.BSavedBytes
-			tot.ResidentBytes += ws.ResidentBytes
-		}
-		st.PanelCache = tot
-	}
-	if s.cfg.redundant() {
-		st.Redundancy = string(s.cfg.redundancy)
-	}
-	return st, nil
+	return renderStats(s.srv.Status()), nil
 }
 
-func (s *distributedSession) tracesLocally() {}
-
+// close releases every worker session back to its daemon's accept loop.
+// Session.Close has already waited out every job.
 func (s *distributedSession) close() error {
-	s.mu.Lock()
-	broken := s.broken
-	s.mu.Unlock()
-	if broken != nil {
-		// Tainted links cannot be handed back mid-protocol; drop them. The
-		// worker daemons survive (their serve loops accept the next master).
-		s.m.Close()
-		return nil
-	}
-	if s.cfg.shutdown {
-		return s.m.Shutdown()
-	}
-	return s.m.Release()
+	s.srv.Close()
+	s.fleet.Close()
+	return nil
 }
 
 // Remote submits jobs to an mmserve scheduling daemon: the daemon queues
@@ -396,7 +300,6 @@ func (r remoteRuntime) open(_ context.Context, cfg *config) (runtimeSession, err
 		{cfg.setProcs, "WithProcs"},
 		{cfg.setOnePort, "WithOnePort"},
 		{cfg.setPipelined, "WithPipelined"},
-		{cfg.setShutdown, "WithWorkerShutdown"},
 		{cfg.setAdaptive, "WithAdaptive"},
 	} {
 		if err := reject(rj.set, rj.opt); err != nil {
@@ -426,51 +329,23 @@ func (s *remoteSession) run(ctx context.Context, j *Job, ah, bh *Operand, c *Mat
 	// The daemon's reply is decoded straight into c's blocks.
 	_, id, err := serve.SubmitProduct(ctx, s.addr, a, b, c, jp, j.class)
 	if id != 0 {
-		j.setRemoteID(id)
 		// The daemon records every job's timeline; expose it through
 		// Job.Trace by fetching on demand once the job is terminal there.
-		addr := s.addr
-		j.setTraceFetch(func(ctx context.Context) (*trace.Trace, error) {
-			return serve.FetchTraceContext(ctx, addr, id)
+		j.accepted(id, func(ctx context.Context) (*trace.Trace, error) {
+			return serve.FetchTraceContext(ctx, s.addr, id)
 		})
 	}
 	return err
 }
 
-// stats fetches the daemon's snapshot and renders it in the session shape:
-// on an adaptive daemon the estimates are the fleet-wide measured costs.
+// stats fetches the daemon's snapshot: on an adaptive daemon the estimates
+// are the fleet-wide measured costs.
 func (s *remoteSession) stats(ctx context.Context) (SessionStats, error) {
 	ds, err := serve.FetchStatsContext(ctx, s.addr)
 	if err != nil {
 		return SessionStats{}, err
 	}
-	st := SessionStats{Kernel: ds.Kernel, Adaptive: ds.Adaptive, Redundancy: ds.Redundancy}
-	if dc := ds.Cache; dc != nil {
-		st.PanelCache = &PanelCacheStats{
-			PanelHits: dc.PanelHits, PanelMisses: dc.PanelMisses,
-			ASentBytes: dc.ASentBytes, ASavedBytes: dc.ASavedBytes,
-			BSentBytes: dc.BSentBytes, BSavedBytes: dc.BSavedBytes,
-			ResidentBytes: dc.ResidentBytes,
-		}
-	}
-	for _, w := range ds.Workers {
-		ws := WorkerStats{Name: w.Name, Kernel: w.Kernel, Spec: w.Spec, Samples: w.Samples}
-		if ws.Name == "" {
-			ws.Name = w.Addr
-		}
-		if w.Samples > 0 {
-			ws.CPerBlock = time.Duration(w.EstC * float64(time.Millisecond))
-			ws.WPerUpdate = time.Duration(w.EstW * float64(time.Millisecond))
-		}
-		ws.CacheHits, ws.CacheMisses = w.CacheHits, w.CacheMisses
-		ws.CacheSentBytes, ws.CacheSavedBytes = w.SentBytes, w.SavedBytes
-		ws.ResidentPanels, ws.ResidentBytes = w.ResidentPanels, w.ResidentBytes
-		st.Workers = append(st.Workers, ws)
-	}
-	for _, js := range ds.Jobs {
-		st.Replans += js.Replans
-	}
-	return st, nil
+	return renderStats(*ds), nil
 }
 
 func (s *remoteSession) close() error { return nil }
@@ -479,10 +354,9 @@ func (s *remoteSession) close() error { return nil }
 // the session config. A redundant job runs through the k-of-n gate, which
 // subsumes elastic failover — mode and factor from the config, placement
 // priced by the tracker's live estimates when the session is adaptive.
-// Otherwise an adaptive session runs elastic: tr observes, join feeds workers
-// added mid-run, replans counts re-plans. Neither: the zero Options, a static
-// run.
-func runOptions(cfg *config, plan []sim.PlanOp, a, c *Matrix, workers int, tr *adapt.Tracker, join <-chan int, replans *atomic.Int32) (engine.Options, error) {
+// Otherwise an adaptive session runs elastic: tr observes, replans counts
+// re-plans. Neither: the zero Options, a static run.
+func runOptions(cfg *config, plan []sim.PlanOp, a, c *Matrix, workers int, tr *adapt.Tracker, replans *atomic.Int32) (engine.Options, error) {
 	if cfg.redundant() {
 		opts := coded.Options{Mode: cfg.redundancy, R: cfg.redundancyR}
 		if tr != nil {
@@ -494,21 +368,9 @@ func runOptions(cfg *config, plan []sim.PlanOp, a, c *Matrix, workers int, tr *a
 	if tr != nil {
 		return engine.Options{Elastic: &engine.Elastic{
 			Tracker:        tr,
-			Join:           join,
 			DriftThreshold: cfg.drift,
 			OnReplan:       func(string, int) { replans.Add(1) },
 		}}, nil
 	}
 	return engine.Options{}, nil
-}
-
-// schedule plans one job's product on pl with the session's scheduler and
-// returns the replayable plan.
-func schedule(cfg *config, pl *platform.Platform, a, c *Matrix) ([]sim.PlanOp, error) {
-	inst := sched.Instance{R: c.Rows, S: c.Cols, T: a.Cols}
-	res, err := cfg.scheduler.Schedule(pl, inst)
-	if err != nil {
-		return nil, fmt.Errorf("matmul: schedule %s: %w", cfg.algorithm, err)
-	}
-	return res.Plan(), nil
 }
